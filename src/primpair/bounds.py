@@ -128,14 +128,12 @@ def check_thm34(p: int, t: int, n: int, facts: Factorization,
             raise NotADivisor(f"{q} does not divide {p}^{t} - 1")
     sieve_primes = tuple(sorted(all_primes - set(k_primes)))
     m = len(sieve_primes)
-    delta = 1 - 2 * sum((Fraction(1, q) for q in sieve_primes), Fraction(0))
     Wk = 1 << len(k_primes)
-    if m == 0:
-        delta = Fraction(1)
-    if delta <= 0:
-        return SieveReport(p, t, n, k_primes, sieve_primes, m, delta,
+    try:
+        delta, Delta = sieve_delta_Delta(sieve_primes)
+    except NonPositiveDelta as exc:
+        return SieveReport(p, t, n, k_primes, sieve_primes, m, exc.delta,
                            None, Wk, None, Verdict.FAIL)
-    Delta = Fraction(1) if m == 0 else Fraction(2 * m - 1) / delta + 2
     rhs = (2 * n + 1) * Delta * Wk * Wk
     verdict = Verdict.PASS if _exceeds(p, t, rhs) else Verdict.FAIL
     return SieveReport(p, t, n, k_primes, sieve_primes, m, delta, Delta, Wk,
@@ -181,7 +179,8 @@ def find_sieve_params(p: int, t: int, n: int, facts: Factorization,
             hit = consider([pool[i] for i in combo])
             if hit is not None:
                 return hit
-    assert best is not None
+    if best is None:
+        raise AssertionError("sieve search considered no k")
     return best
 
 

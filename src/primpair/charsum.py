@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, NotADivisor, NotInSubfield, ZeroElement
 from .ffield import FieldCtx, FieldElement
-from .ntheory import factorize, mobius, squarefree_divisors, euler_phi
+from .ntheory import factorize, is_prime, mobius, squarefree_divisors, euler_phi
 from .ratfunc import RationalFunction, eval_rational, zero_pole_set
 
 __all__ = [
@@ -51,7 +51,8 @@ def theta(u: int) -> float:
 
 
 class _Lab:
-    """Precomputed unit logs, traces, and roots of unity for one (ctx, r)."""
+    """Precomputed unit logs, traces, roots of unity and the two indicator
+    expansions (rho by discrete log, shifted tau) for one (ctx, r)."""
 
     def __init__(self, ctx: FieldCtx, r: int):
         if ctx.Q > LAB_CAP:
@@ -64,12 +65,29 @@ class _Lab:
         self.mult_roots = [cmath.exp(2j * cmath.pi * k / n) for k in range(n)]
         self.add_roots = [cmath.exp(2j * cmath.pi * k / ctx.q) for k in range(ctx.q)]
         self.subfield = ctx.subfield_elements(r)
-        self.sub_index = {x.coeffs: i for i, x in enumerate(self.subfield)}
         # absolute trace of every element, by index
         self.abs_tr = [ctx.abs_trace_int(ctx.from_index(i)) for i in range(ctx.Q)]
+        self._weights: dict[int, list[complex]] = {}
 
     def log(self, x: FieldElement) -> int:
         return self.ctx.discrete_log(x)
+
+    def weights(self, k: int) -> list[complex]:
+        """The k-free indicator by discrete log j: theta(k) times the sum over
+        squarefree s | k and characters of exact order s of
+        mu(s)/phi(s) * chi(g^j).  Built once per k."""
+        out = self._weights.get(k)
+        if out is None:
+            n = self.ctx.Q - 1
+            roots = self.mult_roots
+            out = [0.0 + 0.0j] * n
+            for s in squarefree_divisors(factorize(k)):
+                w = mobius(s) / euler_phi(factorize(s))
+                for mhat in characters_of_order(self.ctx, s):
+                    out = [o + w * roots[j * mhat % n] for j, o in enumerate(out)]
+            th = theta(k)
+            out = self._weights[k] = [th * o for o in out]
+        return out
 
     def chi(self, mhat: int, x: FieldElement) -> complex:
         if x.is_zero():
@@ -91,8 +109,18 @@ class _Lab:
         for _ in range(self.r - 1):
             cur = ctx.pow(cur, ctx.q)
             acc = ctx.add(acc, cur)
-        assert not any(acc.coeffs[1:])
+        if any(acc.coeffs[1:]):
+            raise AssertionError(f"trace of {z} to GF({ctx.q}) is not scalar")
         return self.add_roots[acc.coeffs[0]]
+
+    def tau(self, a: FieldElement, x: FieldElement) -> complex:
+        """Indicator of Tr(x) = a in shifted-canonical form:
+        (1/p) * sum over u in F_p of psi_hat0(u x) * psi0(-u a)."""
+        ctx = self.ctx
+        return sum(
+            self.psi_hat0(ctx.mul(u, x)) * self.psi0_sub(ctx.neg(ctx.mul(u, a)))
+            for u in self.subfield
+        ) / self.p
 
 
 _labs: dict[tuple[int, int], _Lab] = {}
@@ -125,14 +153,7 @@ def rho_indicator(ctx: FieldCtx, u: int, eps: FieldElement, r: int = 1) -> compl
     if (ctx.Q - 1) % u != 0:
         raise NotADivisor(f"{u} does not divide {ctx.Q - 1}")
     lab = _lab(ctx, r)
-    ufac = factorize(u)
-    total = 0.0 + 0.0j
-    for s in squarefree_divisors(ufac):
-        phi_s = euler_phi(factorize(s))
-        coeff = mobius(s) / phi_s
-        for mhat in characters_of_order(ctx, s):
-            total += coeff * lab.chi(mhat, eps)
-    return theta(u) * total
+    return lab.weights(u)[lab.log(eps)]
 
 
 def tau_indicator(ctx: FieldCtx, a: FieldElement, eps: FieldElement, r: int) -> complex:
@@ -145,10 +166,7 @@ def tau_indicator(ctx: FieldCtx, a: FieldElement, eps: FieldElement, r: int) -> 
     tr = ctx.trace_rel(eps, r)
     diff = ctx.sub(tr, a)
     direct = sum(lab.psi0_sub(ctx.mul(u, diff)) for u in lab.subfield) / p
-    shifted = sum(
-        lab.psi_hat0(ctx.mul(u, eps)) * lab.psi0_sub(ctx.neg(ctx.mul(u, a)))
-        for u in lab.subfield
-    ) / p
+    shifted = lab.tau(a, eps)
     if abs(direct - shifted) > sum_tolerance(ctx.Q, p):
         raise AssertionError(
             f"additive-character forms disagree: {direct} vs {shifted}")
@@ -227,36 +245,17 @@ def _count_A_expansion(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
     and (u, v) regrouped per eps (an exact reordering of finite sums).  Uses
     only character arithmetic, never the boolean freeness/trace tests."""
     lab = _lab(ctx, r)
-    n = ctx.Q - 1
-    # weighted character sums, indexed by discrete log
-    weights1 = _weighted_char_profile(ctx, k1, n)
-    weights2 = _weighted_char_profile(ctx, k2, n)
+    rho1 = lab.weights(k1)
+    rho2 = lab.weights(k2)
     _, Pp = zero_pole_set(ctx, f)
     total = 0.0 + 0.0j
     for eps in ctx.elements():
         if eps in Pp:
             continue
         eps0 = eval_rational(ctx, f, eps)
-        mult = weights1[lab.log(eps)] * weights2[lab.log(eps0)]
-        add_a = sum(lab.psi0_sub(ctx.neg(ctx.mul(a, u))) * lab.psi_hat0(ctx.mul(u, eps))
-                    for u in lab.subfield)
-        add_b = sum(lab.psi0_sub(ctx.neg(ctx.mul(b, v))) * lab.psi_hat0(ctx.mul(v, eps0))
-                    for v in lab.subfield)
-        total += mult * add_a * add_b
-    return theta(k1) * theta(k2) / lab.p ** 2 * total
-
-
-def _weighted_char_profile(ctx: FieldCtx, k: int, n: int) -> list[complex]:
-    """For each discrete log j: sum over squarefree s | k and characters of
-    exact order s of mu(s)/phi(s) * chi(g^j)."""
-    lab_roots = [cmath.exp(2j * cmath.pi * j / n) for j in range(n)]
-    out = [0.0 + 0.0j] * n
-    for s in squarefree_divisors(factorize(k)):
-        w = mobius(s) / euler_phi(factorize(s))
-        for mhat in characters_of_order(ctx, s):
-            for j in range(n):
-                out[j] += w * lab_roots[j * mhat % n]
-    return out
+        total += (rho1[lab.log(eps)] * rho2[lab.log(eps0)]
+                  * lab.tau(a, eps) * lab.tau(b, eps0))
+    return total
 
 
 @dataclass(frozen=True)
@@ -275,7 +274,7 @@ class Lemma32Report:
 def verify_lemma32(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
                    b: FieldElement, k: int, m_prime: int, r: int) -> Lemma32Report:
     n = ctx.Q - 1
-    if n % k or n % m_prime or not _is_prime_small(m_prime) or k % m_prime == 0:
+    if n % k or n % m_prime or not is_prime(m_prime) or k % m_prime == 0:
         raise NotADivisor(
             "need k | Q-1 and m a prime dividing Q-1 but not k")
     lab = _lab(ctx, r)
@@ -319,7 +318,3 @@ def verify_lemma33(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
         rhs += count_A_direct(ctx, f, a, b, k, q * k, r, check_expansion=False)
         rhs += count_A_direct(ctx, f, a, b, q * k, k, r, check_expansion=False)
     return Lemma33Report(k, sieve, A_full, rhs)
-
-
-def _is_prime_small(p: int) -> bool:
-    return p > 1 and all(p % d for d in range(2, int(math.isqrt(p)) + 1))

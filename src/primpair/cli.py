@@ -15,7 +15,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from .bounds import (
     TABLE1_WINDOWS,
@@ -47,6 +46,7 @@ from .ffield import make_field
 from .ntheory import FactorCache, FactorEffort, factor_prime_power_order
 from .ratfunc import Poly, RationalFunction, eval_rational, sample_rational
 from .survey import (
+    _frac,
     record_to_dict,
     reproduce_appendix,
     witness_search,
@@ -66,12 +66,6 @@ EXIT_UNRESOLVED = 3
 def _f10(x: float) -> str:
     """Lab floats: fixed 10-significant-digit formatting."""
     return f"{x:.10g}"
-
-
-def _frac(x: Fraction | None) -> str | None:
-    if x is None:
-        return None
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -186,7 +180,7 @@ def _cmd_lemma35(args) -> int:
 
 def _cmd_survey(args) -> int:
     diff = reproduce_appendix(args.t, args.n, effort=_effort(args),
-                              cache=_cache(args), jobs=args.jobs)
+                              cache=_cache(args))
     payload = {
         "config": _run_config(args),
         "t": diff.t, "n": diff.n,
@@ -443,7 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--t", type=int, required=True)
     s.add_argument("--n", type=int, default=2)
     s.add_argument("--paper-diff", action="store_true")
-    s.add_argument("--jobs", type=int, default=1)
     s.set_defaults(func=_cmd_survey)
 
     s = sub.add_parser("witness", help="search for a primitive pair witness")

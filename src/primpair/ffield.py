@@ -267,7 +267,8 @@ class FieldCtx:
     def abs_trace_int(self, eps: FieldElement) -> int:
         """Trace to the prime field GF(q), read off as an integer."""
         tr = self.trace_rel(eps, 1)
-        assert not any(tr.coeffs[1:]), "absolute trace must be scalar"
+        if any(tr.coeffs[1:]):
+            raise AssertionError(f"absolute trace of {eps} is not scalar")
         return tr.coeffs[0]
 
     def element_order(self, eps: FieldElement) -> int:

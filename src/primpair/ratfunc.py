@@ -8,13 +8,13 @@ the constant side fixed to 1.
 
 from __future__ import annotations
 
-import math
+import weakref
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import DegreeZero, EmptyClass, EnumerationTooLarge
 from .ffield import FieldCtx, FieldElement
-from .ntheory import mobius
+from .ntheory import is_prime, mobius
 
 __all__ = [
     "Poly",
@@ -165,7 +165,7 @@ def is_irreducible(ctx: FieldCtx, poly: Poly) -> bool:
         return True
     Q = ctx.Q
     x = poly_x(ctx)
-    prime_divs = {p for p in range(2, d + 1) if d % p == 0 and _is_small_prime(p)}
+    prime_divs = {p for p in range(2, d + 1) if d % p == 0 and is_prime(p)}
     for ell in prime_divs:
         h = _poly_powmod(ctx, x, Q ** (d // ell), poly)
         diff = poly_add(ctx, h, poly_scale(ctx, x, ctx.neg(ctx.one)))
@@ -174,10 +174,6 @@ def is_irreducible(ctx: FieldCtx, poly: Poly) -> bool:
     h = _poly_powmod(ctx, x, Q ** d, poly)
     diff = poly_add(ctx, h, poly_scale(ctx, x, ctx.neg(ctx.one)))
     return diff.is_zero()
-
-
-def _is_small_prime(p: int) -> bool:
-    return p > 1 and all(p % d for d in range(2, int(math.isqrt(p)) + 1))
 
 
 def num_monic_irreducible(Q: int, n: int) -> int:
@@ -231,13 +227,14 @@ def eval_rational(ctx: FieldCtx, f: RationalFunction, eps: FieldElement):
     return ctx.mul(f.scale, ctx.mul(nv, ctx.inv(dv)))
 
 
-_pole_cache: dict[tuple[int, RationalFunction], tuple[frozenset, frozenset]] = {}
+# field -> {f: (P, P')}; a field's entry goes when the field is collected
+_pole_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def zero_pole_set(ctx: FieldCtx, f: RationalFunction) -> tuple[frozenset, frozenset]:
     """(P, P') with P the in-field zeros and poles of f and P' = P + {0}."""
-    key = (id(ctx), f)
-    hit = _pole_cache.get(key)
+    per_field = _pole_cache.setdefault(ctx, {})
+    hit = per_field.get(f)
     if hit is not None:
         return hit
     P = set()
@@ -245,7 +242,7 @@ def zero_pole_set(ctx: FieldCtx, f: RationalFunction) -> tuple[frozenset, frozen
         if poly_eval(ctx, f.num, x).is_zero() or poly_eval(ctx, f.den, x).is_zero():
             P.add(x)
     result = (frozenset(P), frozenset(P | {ctx.zero}))
-    _pole_cache[key] = result
+    per_field[f] = result
     return result
 
 

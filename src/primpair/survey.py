@@ -201,35 +201,12 @@ class AppendixDiff:
                 and not self.unknown)
 
 
-def _classify_job(args) -> SurveyRecord:
-    p, t, n, effort, cache_path = args
-    cache = FactorCache(cache_path) if cache_path else None
-    return classify(p, t, n, effort=effort, cache=cache)
-
-
 def reproduce_appendix(t: int, n: int = 2,
                        effort: FactorEffort = FactorEffort(),
-                       cache: FactorCache | None = None,
-                       progress=None, jobs: int = 1) -> AppendixDiff:
+                       cache: FactorCache | None = None) -> AppendixDiff:
     spec = survey_range(t, n)
-    candidates = enumerate_prime_powers(spec.p_max)
-    if jobs > 1:
-        # workers share only the on-disk cache; merge is by sorted p, so the
-        # distribution of work cannot change the output
-        from multiprocessing import Pool
-        path = cache.path if cache is not None else None
-        args = [(p, t, n, effort, path) for p in candidates]
-        with Pool(jobs) as pool:
-            records = sorted(pool.map(_classify_job, args), key=lambda r: r.p)
-        if progress is not None:
-            for rec in records:
-                progress(rec)
-    else:
-        records = []
-        for p in candidates:
-            records.append(classify(p, t, n, effort=effort, cache=cache))
-            if progress is not None:
-                progress(records[-1])
+    records = [classify(p, t, n, effort=effort, cache=cache)
+               for p in enumerate_prime_powers(spec.p_max)]
     failing = tuple(r.p for r in records
                     if r.status in (SurveyStatus.PROVEN_BY_SIEVE,
                                     SurveyStatus.POSSIBLE_EXCEPTION))
@@ -297,19 +274,17 @@ def witness_search(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
     if not ctx.order_facts.complete:
         raise FactorizationIncomplete(ctx.order_facts.n)
     if exhaustive:
-        for idx in range(1, ctx.Q):
-            eps = ctx.from_index(idx)
-            if _is_witness(ctx, f, a, b, r, eps):
-                assert _recheck_witness(ctx, f, a, b, r, eps)
-                return WitnessResult(eps, definitive=True)
-        return WitnessResult(None, definitive=True)
-    rng = random.Random(seed)
-    for _ in range(budget):
-        eps = ctx.from_index(rng.randrange(1, ctx.Q))
+        candidates = (ctx.from_index(idx) for idx in range(1, ctx.Q))
+    else:
+        rng = random.Random(seed)
+        candidates = (ctx.from_index(rng.randrange(1, ctx.Q))
+                      for _ in range(budget))
+    for eps in candidates:
         if _is_witness(ctx, f, a, b, r, eps):
-            assert _recheck_witness(ctx, f, a, b, r, eps)
-            return WitnessResult(eps, definitive=False)
-    return WitnessResult(None, definitive=False)
+            if not _recheck_witness(ctx, f, a, b, r, eps):
+                raise AssertionError(f"witness {eps} fails the independent recheck")
+            return WitnessResult(eps, definitive=exhaustive)
+    return WitnessResult(None, definitive=exhaustive)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command-line frontend: exit codes, determinism, report contents."""
 
+import hashlib
 import json
 
 import pytest
@@ -96,11 +97,6 @@ class TestSurvey:
         _, out2 = run(capsys, "survey", "--t", "11", "--paper-diff")
         assert out1 == out2
 
-    def test_jobs_flag_does_not_change_bytes(self, capsys):
-        _, seq = run(capsys, "survey", "--t", "11")
-        _, par = run(capsys, "survey", "--t", "11", "--jobs", "3")
-        assert seq == par
-
 
 class TestWitness:
     def test_single_pair(self, capsys):
@@ -155,6 +151,36 @@ class TestCharsumLab:
         _, out1 = run(capsys, *args)
         _, out2 = run(capsys, *args)
         assert out1 == out2
+
+
+# sha256 of charsum-lab stdout at fixed seeds, as computed by the direct
+# per-element character expansions; (suite, q, m, r, seed) -> digest
+LAB_DIGESTS = {
+    ("expansion", 3, 3, 1, 0): "02f680394f1a2f369af4622a985e258391ceb164588581c2a9ec81f032feb897",
+    ("expansion", 3, 3, 1, 1): "d07bc773c295fea0785c759e7bf59d9066f6de3d7627c46417a97c2724528644",
+    ("expansion", 2, 4, 2, 0): "47b6bee19d99bb6fa52008b46f5e186b11fec5600c63c7bb8e356d1238add611",
+    ("expansion", 2, 4, 2, 1): "08d96d4ab847d8350ef9ac670b169acb0397f82fec85c6a7005084d430ea488d",
+    ("lemma32", 3, 3, 1, 0): "81989e3e2e4459385dfa691fd11c80a188174c30c63e5237ef5a4a0aed9b8f27",
+    ("lemma32", 3, 3, 1, 1): "b10bf7acc550651c18c878a00c6b421004b3cb41ab3fdb4a1b6760caab902897",
+    ("lemma32", 2, 4, 2, 0): "67a9bc07805ea2076ac0b1ead2dcc53436f695defd90836c42b0bff0615d46ee",
+    ("lemma32", 2, 4, 2, 1): "aa0f1578b6aaf26f7f586c13fb7ffb55bd86c8023807c94ef3b04d1a81b74fb8",
+    ("lemma33", 3, 3, 1, 0): "9a15ae6d0949356576400e6363eda54d65c038b665ea104a66d65102f8fee287",
+    ("lemma33", 3, 3, 1, 1): "01ff2d48783484fb137ba09c28ffa775aba7baec016464a62a3e842aa2838bb2",
+    ("lemma33", 2, 4, 2, 0): "fdb738336fc7af0521105c164e8d016bd3c1db3b66b1898c92228017240dbf89",
+    ("lemma33", 2, 4, 2, 1): "2ea84516eceaaed2f2aefe4dbbd417f125b77bdd1cd315ad94825c13f3634b44",
+}
+
+
+class TestCharsumLabBytes:
+    @pytest.mark.parametrize("key", sorted(LAB_DIGESTS))
+    def test_stdout_digest(self, capsys, key):
+        suite, q, m, r, seed = key
+        # an empty --cache keeps the run off the shipped factor cache
+        code, out = run(capsys, "--seed", str(seed), "--cache", "",
+                        "charsum-lab", "--q", str(q), "--m", str(m),
+                        "--r", str(r), "--suite", suite, "--samples", "4")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == LAB_DIGESTS[key]
 
 
 class TestUsageErrors:

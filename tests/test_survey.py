@@ -2,12 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from primpair.errors import OutOfScope
 from primpair.ffield import make_field
-from primpair.ntheory import FactorCache, FactorEffort
+from primpair.ntheory import FactorEffort
 from primpair.ratfunc import Poly, RationalFunction
 from primpair.survey import (
     SurveyStatus,
@@ -120,12 +123,6 @@ class TestReproduce:
         assert diff.clean
         assert len(diff.computed_failing) == 18
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        cache = FactorCache(str(tmp_path / "c.txt"))
-        seq = reproduce_appendix(11, cache=cache)
-        par = reproduce_appendix(11, cache=cache, jobs=3)
-        assert seq.records == par.records
-
     def test_unknowns_never_dropped(self):
         diff = reproduce_appendix(
             11, effort=FactorEffort(trial_bound=3, rho_iterations=1))
@@ -149,6 +146,31 @@ class TestWitnessSearch:
         assert ctx.is_primitive(inv)
         assert ctx.trace_rel(eps, 1) == ctx.one
         assert ctx.trace_rel(inv, 1) == ctx.one
+
+    def test_recheck_survives_optimized_mode(self):
+        # the independent recheck is an explicit raise, so python -O keeps it
+        import primpair
+        src = os.path.dirname(os.path.dirname(primpair.__file__))
+        script = (
+            "import sys\n"
+            "if __debug__: sys.exit('not running under -O')\n"
+            "from primpair import survey\n"
+            "from primpair.ffield import make_field\n"
+            "from primpair.ratfunc import Poly, RationalFunction\n"
+            "survey._recheck_witness = lambda *args: False\n"
+            "ctx = make_field(2, 7)\n"
+            "f = RationalFunction(ctx.one, Poly((ctx.one,)), Poly((ctx.zero, ctx.one)))\n"
+            "for exhaustive in (True, False):\n"
+            "    try:\n"
+            "        survey.witness_search(ctx, f, ctx.one, ctx.one, 1, exhaustive=exhaustive)\n"
+            "    except AssertionError:\n"
+            "        continue\n"
+            "    sys.exit('witness_search returned without the recheck')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_randomized_reports_non_definitive(self):
         ctx = make_field(2, 7)
