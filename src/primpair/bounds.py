@@ -140,12 +140,16 @@ def check_thm34(p: int, t: int, n: int, facts: Factorization,
                        rhs, verdict)
 
 
-def find_sieve_params(p: int, t: int, n: int, facts: Factorization,
-                      max_subset_primes: int = 12) -> SieveReport:
+# The subset stage of the sieve search tries every subset of this many of
+# the smallest primes.
+_SUBSET_PRIMES = 12
+
+
+def find_sieve_params(p: int, t: int, n: int, facts: Factorization) -> SieveReport:
     """Search for a k that makes the sieve pass.
 
     Order: k = product of the j smallest primes for j = 0..omega, then every
-    subset of the smallest min(omega, max_subset_primes) primes by size and
+    subset of the smallest min(omega, _SUBSET_PRIMES) primes by size and
     position.  Returns the first Pass, else the largest-margin Fail.
     """
     facts.require_complete()
@@ -173,7 +177,7 @@ def find_sieve_params(p: int, t: int, n: int, facts: Factorization,
         hit = consider(primes[:j])
         if hit is not None:
             return hit
-    pool = primes[: min(len(primes), max_subset_primes)]
+    pool = primes[:_SUBSET_PRIMES]
     for size in range(1, len(pool) + 1):
         for combo in combinations(range(len(pool)), size):
             hit = consider([pool[i] for i in combo])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded, NotADivisor, NotInSubfield, ZeroElement
 from .ffield import FieldCtx, FieldElement
 from .ntheory import factorize, is_prime, mobius, squarefree_divisors, euler_phi
-from .ratfunc import RationalFunction, eval_rational, zero_pole_set
+from .ratfunc import POLE, RationalFunction, eval_rational
 
 __all__ = [
     "INDICATOR_TOL",
@@ -123,14 +123,23 @@ class _Lab:
         ) / self.p
 
 
-_labs: dict[tuple[int, int], _Lab] = {}
-
-
 def _lab(ctx: FieldCtx, r: int) -> _Lab:
-    key = (id(ctx), r)
-    if key not in _labs:
-        _labs[key] = _Lab(ctx, r)
-    return _labs[key]
+    """The lab of (ctx, r), kept on the field so it dies with it."""
+    lab = ctx.labs.get(r)
+    if lab is None:
+        lab = ctx.labs[r] = _Lab(ctx, r)
+    return lab
+
+
+def _outside_Pp(ctx: FieldCtx, f: RationalFunction):
+    """(eps, f(eps)) for every eps outside P', i.e. with eps and f(eps) both
+    units, in element order."""
+    for eps in ctx.elements():
+        if eps.is_zero():
+            continue
+        eps0 = eval_rational(ctx, f, eps)
+        if eps0 is not POLE and not eps0.is_zero():
+            yield eps, eps0
 
 
 def characters_of_order(ctx: FieldCtx, s: int) -> list[int]:
@@ -185,13 +194,9 @@ def char_sum_chi(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
         raise NotADivisor("character orders must divide Q - 1")
     mhat1 = n // s1 * c1 % n
     mhat2 = n // s2 * c2 % n
-    _, Pp = zero_pole_set(ctx, f)
     # per-eps data reused across the (u, v) loop
     rows = []
-    for eps in ctx.elements():
-        if eps in Pp:
-            continue
-        eps0 = eval_rational(ctx, f, eps)
+    for eps, eps0 in _outside_Pp(ctx, f):
         chi_part = lab.mult_roots[(lab.log(eps) * mhat1 + lab.log(eps0) * mhat2) % n]
         rows.append((eps, eps0, chi_part))
     total = 0.0 + 0.0j
@@ -217,14 +222,8 @@ def count_A_direct(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
     n = ctx.Q - 1
     if n % k1 or n % k2:
         raise NotADivisor("k1, k2 must divide Q - 1")
-    _, Pp = zero_pole_set(ctx, f)
     count = 0
-    for eps in ctx.elements():
-        if eps in Pp:
-            continue
-        eps0 = eval_rational(ctx, f, eps)
-        if eps.is_zero() or eps0.is_zero():
-            continue
+    for eps, eps0 in _outside_Pp(ctx, f):
         if not (ctx.is_ufree(eps, k1) and ctx.is_ufree(eps0, k2)):
             continue
         if ctx.trace_rel(eps, r) != a or ctx.trace_rel(eps0, r) != b:
@@ -247,12 +246,8 @@ def _count_A_expansion(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
     lab = _lab(ctx, r)
     rho1 = lab.weights(k1)
     rho2 = lab.weights(k2)
-    _, Pp = zero_pole_set(ctx, f)
     total = 0.0 + 0.0j
-    for eps in ctx.elements():
-        if eps in Pp:
-            continue
-        eps0 = eval_rational(ctx, f, eps)
+    for eps, eps0 in _outside_Pp(ctx, f):
         total += (rho1[lab.log(eps)] * rho2[lab.log(eps0)]
                   * lab.tau(a, eps) * lab.tau(b, eps0))
     return total
@@ -297,11 +292,11 @@ class Lemma33Report:
     k: int
     sieve_primes: tuple[int, ...]
     lhs: int              # A(Q-1, Q-1)
-    rhs: float
+    rhs: int
 
     @property
     def holds(self) -> bool:
-        return self.lhs >= self.rhs - 1e-9
+        return self.lhs >= self.rhs
 
 
 def verify_lemma33(ctx: FieldCtx, f: RationalFunction, a: FieldElement,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -68,15 +67,8 @@ def _f10(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    elif fmt == "text":
-        for k, v in sorted(payload.items()):
-            print(f"{k}: {v}")
-    else:  # csv: flat key,value rows
-        for k, v in sorted(payload.items()):
-            print(f"{k},{v}")
+def _emit(payload: dict) -> None:
+    print(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _run_config(args) -> dict:
@@ -92,8 +84,7 @@ def _effort(args) -> FactorEffort:
 
 
 def _cache(args) -> FactorCache | None:
-    path = os.environ.get("PRIMPAIR_CACHE") or args.cache
-    return FactorCache(path) if path else None
+    return FactorCache(args.cache) if args.cache else None
 
 
 def _default_cache_path() -> str:
@@ -119,7 +110,7 @@ def _cmd_check_bound(args) -> int:
         "rhs": _frac(rep.rhs),
         "verdict": rep.verdict.value,
         "reason": rep.reason,
-    }, args.format)
+    })
     return EXIT_UNRESOLVED if rep.verdict is Verdict.UNKNOWN else EXIT_OK
 
 
@@ -128,8 +119,7 @@ def _cmd_sieve(args) -> int:
                                      cache=_cache(args))
     if not facts.complete:
         _emit({"config": _run_config(args), "verdict": "Unknown",
-               "reason": f"partial factorization, cofactor {facts.cofactor}"},
-              args.format)
+               "reason": f"partial factorization, cofactor {facts.cofactor}"})
         return EXIT_UNRESOLVED
     if args.k_primes:
         rep = check_thm34(args.p, args.t, args.n, facts, args.k_primes)
@@ -145,7 +135,7 @@ def _cmd_sieve(args) -> int:
         "Delta": _frac(rep.Delta),
         "rhs": _frac(rep.rhs),
         "verdict": rep.verdict.value,
-    }, args.format)
+    })
     return EXIT_OK
 
 
@@ -159,7 +149,7 @@ def _cmd_table1(args) -> int:
             "Delta": _frac(row.Delta_ub),
             "bound": _frac(row.rhs_ub),
         })
-    _emit({"config": _run_config(args), "rows": rows}, args.format)
+    _emit({"config": _run_config(args), "rows": rows})
     return EXIT_OK
 
 
@@ -174,7 +164,7 @@ def _cmd_lemma35(args) -> int:
         "next_prime_after_12983": rec.next_prime_after_12983,
         "next_prime_twelfth_power_exceeds_2": rec.next_prime_twelfth_power_exceeds_2,
         "all_hold": rec.all_hold,
-    }, args.format)
+    })
     return EXIT_OK if rec.all_hold else EXIT_MISMATCH
 
 
@@ -197,7 +187,7 @@ def _cmd_survey(args) -> int:
             "exceptions_extra": list(extra_e),
             "clean": diff.clean,
         }
-    _emit(payload, args.format)
+    _emit(payload)
     if diff.unknown:
         return EXIT_UNRESOLVED
     if args.paper_diff and not diff.clean:
@@ -222,7 +212,7 @@ def _cmd_witness(args) -> int:
     ctx = make_field(args.q, args.r * args.t, seed=args.seed,
                      effort=_effort(args), cache=_cache(args))
     if not ctx.order_facts.complete:
-        _emit({"config": _run_config(args), "status": "Unresolved"}, args.format)
+        _emit({"config": _run_config(args), "status": "Unresolved"})
         return EXIT_UNRESOLVED
     rng = random.Random(args.seed)
     if args.f:
@@ -266,7 +256,7 @@ def _cmd_witness(args) -> int:
             "den": [ctx.to_index(c) for c in f.den.coeffs],
         },
         "results": results,
-    }, args.format)
+    })
     return EXIT_MISMATCH if any_missing else EXIT_OK
 
 
@@ -392,7 +382,7 @@ def _cmd_charsum_lab(args) -> int:
         "suite": args.suite,
         "report": report,
         "passed": ok,
-    }, args.format)
+    })
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -408,9 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=int, default=5_000_000,
                         help="factorization iteration budget")
     parser.add_argument("--cache", default=_default_cache_path(),
-                        help="factor cache path (env PRIMPAIR_CACHE overrides)")
-    parser.add_argument("--format", choices=["json", "csv", "text"],
-                        default="json")
+                        help="factor cache path; empty for none")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     s = sub.add_parser("check-bound", help="sufficient-condition verdict")

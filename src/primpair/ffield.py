@@ -118,7 +118,7 @@ def _base_irreducible(f, q):
 
 
 class FieldCtx:
-    """Immutable after construction; safe to share across workers."""
+    """Arithmetic is fixed at construction; only ``labs`` fills in later."""
 
     def __init__(self, q: int, m: int, modulus: tuple[int, ...],
                  order_facts: Factorization,
@@ -132,6 +132,8 @@ class FieldCtx:
         self.generator: FieldElement | None = None
         self._exp: list[tuple[int, ...]] | None = None
         self._log: dict[tuple[int, ...], int] | None = None
+        # charsum labs by subfield degree r; they die with the field
+        self.labs: dict = {}
         if order_facts.complete:
             self.generator = self._find_generator(gen_seed)
             if self.Q <= table_cap:
@@ -192,9 +194,7 @@ class FieldCtx:
 
     def units(self):
         for idx in range(1, self.Q):
-            x = self.from_index(idx)
-            if not x.is_zero():
-                yield x
+            yield self.from_index(idx)
 
     # -- arithmetic
 
@@ -320,31 +320,15 @@ class FieldCtx:
             cur = self.mul(cur, h)
         return out
 
-    def discrete_log(self, eps: FieldElement, budget: int = 1 << 22) -> int:
-        """j with generator^j = eps.  Table lookup, else baby-step giant-step."""
+    def discrete_log(self, eps: FieldElement) -> int:
+        """j with generator^j = eps, read from the log table."""
         if eps.is_zero():
             raise ZeroElement("discrete log of zero")
         if self.generator is None:
             raise FactorizationIncomplete("discrete log needs a generator")
-        if self._log is not None:
-            return self._log[eps.coeffs]
-        n = self.Q - 1
-        s = math.isqrt(n) + 1
-        if 2 * s > budget:
-            raise BudgetExceeded(f"bsgs table of {s} exceeds budget {budget}")
-        baby = {}
-        cur = self.one
-        for j in range(s):
-            baby.setdefault(cur.coeffs, j)
-            cur = self.mul(cur, self.generator)
-        stride = self.inv(self.pow(self.generator, s))
-        cur = eps
-        for i in range(s + 1):
-            j = baby.get(cur.coeffs)
-            if j is not None:
-                return (i * s + j) % n
-            cur = self.mul(cur, stride)
-        raise BudgetExceeded("bsgs failed to find a match")
+        if self._log is None:
+            raise BudgetExceeded(f"GF({self.q}^{self.m}) is above the log-table cap")
+        return self._log[eps.coeffs]
 
     def __repr__(self):
         return f"FieldCtx(GF({self.q}^{self.m}))"

@@ -19,7 +19,6 @@ from .errors import PartialFactorization
 __all__ = [
     "FactorStatus",
     "Factorization",
-    "PrimePower",
     "FactorEffort",
     "FactorCache",
     "is_prime",
@@ -76,24 +75,6 @@ class Factorization:
             )
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    """p = q^r with q prime."""
-
-    q: int
-    r: int
-
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise ValueError(f"{self.q} is not prime")
-        if self.r < 1:
-            raise ValueError("exponent must be positive")
-
-    @property
-    def value(self) -> int:
-        return self.q ** self.r
-
-
 # ---------------------------------------------------------------------------
 # primality
 
@@ -101,6 +82,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Miller-Rabin with these bases is deterministic below this bound.
 _DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
+
+# Random Miller-Rabin rounds above that bound, seeded by n.
+_MR_ROUNDS = 64
 
 
 def _miller_rabin(n: int, base: int) -> bool:
@@ -119,7 +103,7 @@ def _miller_rabin(n: int, base: int) -> bool:
     return False
 
 
-def is_prime(n: int, rounds: int = 64) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -128,7 +112,7 @@ def is_prime(n: int, rounds: int = 64) -> bool:
     if n < _DETERMINISTIC_LIMIT:
         return all(_miller_rabin(n, b) for b in _SMALL_PRIMES)
     rng = random.Random(n)
-    return all(_miller_rabin(n, rng.randrange(2, n - 1)) for _ in range(rounds))
+    return all(_miller_rabin(n, rng.randrange(2, n - 1)) for _ in range(_MR_ROUNDS))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ the constant side fixed to 1.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -227,23 +226,13 @@ def eval_rational(ctx: FieldCtx, f: RationalFunction, eps: FieldElement):
     return ctx.mul(f.scale, ctx.mul(nv, ctx.inv(dv)))
 
 
-# field -> {f: (P, P')}; a field's entry goes when the field is collected
-_pole_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def zero_pole_set(ctx: FieldCtx, f: RationalFunction) -> tuple[frozenset, frozenset]:
     """(P, P') with P the in-field zeros and poles of f and P' = P + {0}."""
-    per_field = _pole_cache.setdefault(ctx, {})
-    hit = per_field.get(f)
-    if hit is not None:
-        return hit
     P = set()
     for x in ctx.elements():
         if poly_eval(ctx, f.num, x).is_zero() or poly_eval(ctx, f.den, x).is_zero():
             P.add(x)
-    result = (frozenset(P), frozenset(P | {ctx.zero}))
-    per_field[f] = result
-    return result
+    return frozenset(P), frozenset(P | {ctx.zero})
 
 
 def _random_monic_irreducible(ctx: FieldCtx, n: int, rng) -> Poly:

@@ -1,12 +1,17 @@
 """Character-sum laboratory: indicators, expansions, inequality checks."""
 
 import cmath
+import gc
 import random
+import weakref
 
 import pytest
 
 from primpair.charsum import (
     INDICATOR_TOL,
+    Lemma33Report,
+    _lab,
+    _outside_Pp,
     canonical_additive,
     char_sum_chi,
     characters_of_order,
@@ -24,6 +29,7 @@ from primpair.ntheory import euler_phi, factorize
 from primpair.ratfunc import (
     Poly,
     RationalFunction,
+    eval_rational,
     sample_rational,
     zero_pole_set,
 )
@@ -95,11 +101,34 @@ class TestCharacters:
         assert abs(total) < sum_tolerance(25, 25)
 
     def test_multiplicative_orthogonality(self, gf25):
-        from primpair.charsum import _lab
         lab = _lab(gf25, 1)
         mhat = characters_of_order(gf25, 3)[0]
         total = sum(lab.chi(mhat, x) for x in gf25.units())
         assert abs(total) < sum_tolerance(25, 24)
+
+
+class TestLab:
+    def test_lab_dies_with_field(self):
+        ctx = make_field(2, 5)
+        rho_indicator(ctx, 31, ctx.one)        # builds the lab
+        ref = weakref.ref(ctx)
+        del ctx
+        gc.collect()
+        assert ref() is None
+
+    @pytest.mark.parametrize("q,m", [(2, 5), (3, 3), (5, 2), (7, 1), (2, 4)])
+    def test_unit_rule_matches_zero_pole_set(self, q, m):
+        # skipping eps = 0 and f(eps) in {0, POLE} leaves exactly the
+        # elements outside P', in element order
+        ctx = make_field(q, m)
+        rng = random.Random(q * m)
+        for n1, n2 in [(1, 1), (2, 1), (1, 2), (2, 2), (1, 0), (0, 1), (2, 0)]:
+            f = sample_rational(ctx, n1, n2, rng, allow_constant=True)
+            _, Pp = zero_pole_set(ctx, f)
+            pairs = list(_outside_Pp(ctx, f))
+            assert [eps for eps, _ in pairs] == [
+                eps for eps in ctx.elements() if eps not in Pp]
+            assert all(eps0 == eval_rational(ctx, f, eps) for eps, eps0 in pairs)
 
 
 class TestRhoIndicator:
@@ -219,3 +248,9 @@ class TestLemmas:
             for k in (1, 2, 3, 6):
                 rep = verify_lemma33(gf25, f, a, b, k, 1)
                 assert rep.holds
+
+    def test_lemma33_holds_is_exact(self):
+        # both sides are counts; a float slack would call 10^20 >= 10^20 + 1
+        big = 10 ** 20
+        assert not Lemma33Report(1, (), big, big + 1).holds
+        assert Lemma33Report(1, (), big + 1, big + 1).holds

@@ -171,6 +171,31 @@ LAB_DIGESTS = {
 }
 
 
+# sha256 of the JSON stdout of the other subcommands with --cache "";
+# argv -> (exit code, digest)
+CLI_DIGESTS = {
+    ("check-bound", "--p", "2", "--t", "7"):
+        (0, "a4e8b104fb57587d481753f1d97a6e59e7214809a97aedb027c06bef4574b3db"),
+    ("sieve", "--p", "2", "--t", "22"):
+        (0, "f5e22bfa707e080437d2368fb5b482f838309603145a6bb5c59df4640e1ff154"),
+    ("table1",):
+        (0, "0d1c0b00c027883fcef942e3cd9fb16726100e4bb5ab4c5d70da32aa4d5fa5e1"),
+    ("lemma35",):
+        (1, "6180122438035daf802b74de2e909517fb6e6a99ac0f13c7c61c0decd5c254e7"),
+    ("survey", "--t", "9", "--paper-diff"):
+        (0, "a0c1c7fa0e04c71fe983bcc73d40f3eebdb010c3cc0e282ce388d8896c423cc7"),
+    ("witness", "--q", "2", "--t", "7", "--exhaustive"):
+        (0, "61fb19b1a86302f8dc464b4fbe5e4c040d467e46ff2388900d16e7a562df0652"),
+}
+
+
+class TestStdoutBytes:
+    @pytest.mark.parametrize("argv", sorted(CLI_DIGESTS))
+    def test_stdout_digest(self, capsys, argv):
+        code, out = run(capsys, "--cache", "", *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == CLI_DIGESTS[argv]
+
+
 class TestCharsumLabBytes:
     @pytest.mark.parametrize("key", sorted(LAB_DIGESTS))
     def test_stdout_digest(self, capsys, key):
@@ -192,4 +217,9 @@ class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check-bound", "--p", "2"])
+        assert exc.value.code == 2
+
+    def test_format_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "csv", "check-bound", "--p", "2", "--t", "7"])
         assert exc.value.code == 2
