@@ -16,6 +16,7 @@ from .errors import NonPositiveDelta, NotADivisor
 from .ntheory import (
     Factorization,
     integer_nth_root,
+    is_prime,
     omega_and_W,
     primes_window,
 )
@@ -285,10 +286,7 @@ def lemma35_constants() -> Lemma35Record:
         K *= q
     twelfth = integer_nth_root(K, 12)
     nxt = 12984
-    while True:
-        from .ntheory import is_prime
-        if is_prime(nxt):
-            break
+    while not is_prime(nxt):
         nxt += 1
     return Lemma35Record(
         product_digits=_decimal_digits(K),

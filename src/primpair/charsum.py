@@ -51,8 +51,8 @@ def theta(u: int) -> float:
 
 
 class _Lab:
-    """Precomputed unit logs, traces, roots of unity and the two indicator
-    expansions (rho by discrete log, shifted tau) for one (ctx, r)."""
+    """Roots of unity, the subfield and the two indicator expansions (rho by
+    discrete log, shifted tau) for one (ctx, r)."""
 
     def __init__(self, ctx: FieldCtx, r: int):
         if ctx.Q > LAB_CAP:
@@ -65,8 +65,8 @@ class _Lab:
         self.mult_roots = [cmath.exp(2j * cmath.pi * k / n) for k in range(n)]
         self.add_roots = [cmath.exp(2j * cmath.pi * k / ctx.q) for k in range(ctx.q)]
         self.subfield = ctx.subfield_elements(r)
-        # absolute trace of every element, by index
-        self.abs_tr = [ctx.abs_trace_int(ctx.from_index(i)) for i in range(ctx.Q)]
+        # Tr_{F_Q/F_p}(w) = 1, so Tr_{F_p/F_q}(z) = Tr_{F_Q/F_q}(z w) on F_p
+        self.w = next(x for x in ctx.elements() if ctx.trace_rel(x, r) == ctx.one)
         self._weights: dict[int, list[complex]] = {}
 
     def log(self, x: FieldElement) -> int:
@@ -96,22 +96,13 @@ class _Lab:
 
     def psi_hat0(self, x: FieldElement) -> complex:
         """Canonical additive character of the big field."""
-        return self.add_roots[self.abs_tr[self.ctx.to_index(x)]]
+        return self.add_roots[self.ctx.abs_trace_int(x)]
 
     def psi0_sub(self, z: FieldElement) -> complex:
         """Canonical additive character of the subfield F_p at z in F_p."""
-        ctx = self.ctx
-        if not ctx.in_subfield(z, self.r):
+        if not self.ctx.in_subfield(z, self.r):
             raise NotInSubfield(f"{z} not fixed by Frobenius^{self.r}")
-        # trace from F_p down to GF(q), computed inside the big field
-        acc = z
-        cur = z
-        for _ in range(self.r - 1):
-            cur = ctx.pow(cur, ctx.q)
-            acc = ctx.add(acc, cur)
-        if any(acc.coeffs[1:]):
-            raise AssertionError(f"trace of {z} to GF({ctx.q}) is not scalar")
-        return self.add_roots[acc.coeffs[0]]
+        return self.psi_hat0(self.ctx.mul(z, self.w))
 
     def tau(self, a: FieldElement, x: FieldElement) -> complex:
         """Indicator of Tr(x) = a in shifted-canonical form:

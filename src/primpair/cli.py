@@ -18,13 +18,11 @@ import sys
 from .bounds import (
     TABLE1_WINDOWS,
     Verdict,
-    absorbed_window_constants,
     check_thm31,
     check_thm34,
     find_sieve_params,
     lemma35_constants,
     table1_row,
-    window_threshold,
 )
 from .charsum import (
     INDICATOR_TOL,
@@ -43,7 +41,14 @@ from .errors import (
 )
 from .ffield import make_field
 from .ntheory import FactorCache, FactorEffort, factor_prime_power_order
-from .ratfunc import Poly, RationalFunction, eval_rational, sample_rational
+from .ratfunc import (
+    Poly,
+    RationalFunction,
+    _validate,
+    eval_rational,
+    is_irreducible,
+    sample_rational,
+)
 from .survey import (
     _frac,
     record_to_dict,
@@ -197,15 +202,19 @@ def _cmd_survey(args) -> int:
 
 def _parse_function(ctx, spec: str) -> RationalFunction:
     """``scale:num:den`` with comma-separated element indices, low degree
-    first, e.g. ``1:0,1:1`` for x over a constant denominator."""
-    try:
-        s, num, den = spec.split(":")
-        scale = ctx.from_index(int(s))
-        nc = tuple(ctx.from_index(int(c)) for c in num.split(","))
-        dc = tuple(ctx.from_index(int(c)) for c in den.split(","))
-        return RationalFunction(scale, Poly(nc), Poly(dc))
-    except (ValueError, KeyError) as exc:
-        raise SystemExit(EXIT_USAGE) from exc
+    first, e.g. ``1:0,1:1`` for x over a constant denominator.  A spec that
+    is not a valid function (nonzero scale, monic irreducible coprime parts)
+    raises ValueError."""
+    s, num, den = spec.split(":")
+    f = RationalFunction(ctx.from_index(int(s)),
+                         Poly(tuple(ctx.from_index(int(c)) for c in num.split(","))),
+                         Poly(tuple(ctx.from_index(int(c)) for c in den.split(","))))
+    _validate(ctx, f, allow_constant=True)
+    if f.degsum < 1:
+        raise ValueError("degsum must be >= 1")
+    if not all(is_irreducible(ctx, part) for part in (f.num, f.den) if part.degree):
+        raise ValueError("num and den must be irreducible")
+    return f
 
 
 def _cmd_witness(args) -> int:
@@ -222,8 +231,12 @@ def _cmd_witness(args) -> int:
         n2 = args.n // 2
         f = sample_rational(ctx, n1, n2, rng, allow_constant=(n2 == 0))
     subfield = ctx.subfield_elements(args.r)
-    pairs = ([(subfield[args.a], subfield[args.b])]
-             if args.a is not None and args.b is not None
+    if (args.a is None) != (args.b is None):
+        raise ValueError("--a and --b go together")
+    for idx in (args.a, args.b):
+        if idx is not None and not 0 <= idx < len(subfield):
+            raise ValueError(f"subfield index {idx} outside [0, {len(subfield)})")
+    pairs = ([(subfield[args.a], subfield[args.b])] if args.a is not None
              else [(a, b) for a in subfield for b in subfield])
     results = []
     any_missing = False

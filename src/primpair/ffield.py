@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     BadSubfieldDegree,
@@ -118,7 +119,7 @@ def _base_irreducible(f, q):
 
 
 class FieldCtx:
-    """Arithmetic is fixed at construction; only ``labs`` fills in later."""
+    """Arithmetic is fixed at construction; only labs and basis traces fill in."""
 
     def __init__(self, q: int, m: int, modulus: tuple[int, ...],
                  order_facts: Factorization,
@@ -132,8 +133,9 @@ class FieldCtx:
         self.generator: FieldElement | None = None
         self._exp: list[tuple[int, ...]] | None = None
         self._log: dict[tuple[int, ...], int] | None = None
-        # charsum labs by subfield degree r; they die with the field
+        # charsum labs and basis traces by subfield degree r die with the field
         self.labs: dict = {}
+        self.basis_traces: dict[int, tuple[tuple[int, ...], ...]] = {}
         if order_facts.complete:
             self.generator = self._find_generator(gen_seed)
             if self.Q <= table_cap:
@@ -179,6 +181,8 @@ class FieldCtx:
 
     def from_index(self, idx: int) -> FieldElement:
         """Base-q digit expansion; indexes all Q elements."""
+        if not 0 <= idx < self.Q:
+            raise ValueError(f"element index {idx} outside [0, {self.Q})")
         digits = []
         for _ in range(self.m):
             digits.append(idx % self.q)
@@ -235,12 +239,15 @@ class FieldCtx:
             return FieldElement(self._exp[j])
         if e < 0:
             x, e = self.inv(x), -e
+        return self._pow_poly(x, e)
+
+    def _pow_poly(self, x: FieldElement, e: int) -> FieldElement:
+        """x^e for e >= 0 by square-and-multiply, bypassing the log table."""
         result = self.one
-        base = x
         while e:
             if e & 1:
-                result = self._mul_poly(result, base)
-            base = self._mul_poly(base, base)
+                result = self._mul_poly(result, x)
+            x = self._mul_poly(x, x)
             e >>= 1
         return result
 
@@ -251,25 +258,36 @@ class FieldCtx:
 
     # -- structure queries
 
-    def trace_rel(self, eps: FieldElement, r: int) -> FieldElement:
-        """Trace onto the intermediate field GF(q^r) <= GF(q^m)."""
-        if self.m % r != 0:
-            raise BadSubfieldDegree(f"{r} does not divide {self.m}")
-        p = self.q ** r
-        t = self.m // r
-        acc = eps
-        cur = eps
-        for _ in range(t - 1):
-            cur = self.pow(cur, p)
+    def _frobenius_trace(self, eps: FieldElement, r: int) -> FieldElement:
+        """Sum of eps^(p^j) for j < m/r with p = q^r, bypassing the log table."""
+        acc = cur = eps
+        for _ in range(self.m // r - 1):
+            cur = self._pow_poly(cur, self.q ** r)
             acc = self.add(acc, cur)
         return acc
 
+    def _trace_columns(self, r: int) -> tuple[tuple[int, ...], ...]:
+        """Column k: coordinate k of Tr(x^i), i < m; Tr is GF(q)-linear."""
+        cols = self.basis_traces.get(r)
+        if cols is None:
+            if self.m % r != 0:
+                raise BadSubfieldDegree(f"{r} does not divide {self.m}")
+            basis = (self.from_index(self.q ** i) for i in range(self.m))
+            cols = tuple(zip(*(self._frobenius_trace(x, r).coeffs for x in basis)))
+            if r == 1 and any(map(any, cols[1:])):
+                raise AssertionError("absolute traces of the basis are not scalar")
+            self.basis_traces[r] = cols
+        return cols
+
+    def trace_rel(self, eps: FieldElement, r: int) -> FieldElement:
+        """Trace onto the intermediate field GF(q^r) <= GF(q^m)."""
+        q = self.q
+        return FieldElement(tuple(sum(map(mul, eps.coeffs, col)) % q
+                                  for col in self._trace_columns(r)))
+
     def abs_trace_int(self, eps: FieldElement) -> int:
         """Trace to the prime field GF(q), read off as an integer."""
-        tr = self.trace_rel(eps, 1)
-        if any(tr.coeffs[1:]):
-            raise AssertionError(f"absolute trace of {eps} is not scalar")
-        return tr.coeffs[0]
+        return sum(map(mul, eps.coeffs, self._trace_columns(1)[0])) % self.q
 
     def element_order(self, eps: FieldElement) -> int:
         if eps.is_zero():

@@ -30,7 +30,6 @@ from .ntheory import (
     factor_prime_power_order,
     factorize,
     integer_nth_root,
-    is_prime,
     primes_upto,
 )
 from .ratfunc import RationalFunction, eval_rational, sample_rational
@@ -248,22 +247,14 @@ def _is_witness(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
 
 
 def _recheck_witness(ctx: FieldCtx, f: RationalFunction, a, b, r, eps) -> bool:
-    """Independent re-verification: generic power checks, no log table."""
+    """Independent re-verification: generic powers and Frobenius-sum traces,
+    neither the log table nor the basis traces."""
     n = ctx.Q - 1
     eps0 = eval_rational(ctx, f, eps)
-    for x in (eps, eps0):
-        for ell in ctx.order_facts.primes():
-            result = ctx.one
-            base = x
-            e = n // ell
-            while e:                      # deliberately bypasses ctx.pow
-                if e & 1:
-                    result = ctx._mul_poly(result, base)
-                base = ctx._mul_poly(base, base)
-                e >>= 1
-            if result == ctx.one:
-                return False
-    return ctx.trace_rel(eps, r) == a and ctx.trace_rel(eps0, r) == b
+    if any(ctx._pow_poly(x, n // ell) == ctx.one
+           for x in (eps, eps0) for ell in ctx.order_facts.primes()):
+        return False
+    return ctx._frobenius_trace(eps, r) == a and ctx._frobenius_trace(eps0, r) == b
 
 
 def witness_search(ctx: FieldCtx, f: RationalFunction, a: FieldElement,

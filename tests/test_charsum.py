@@ -23,7 +23,7 @@ from primpair.charsum import (
     verify_lemma32,
     verify_lemma33,
 )
-from primpair.errors import NotADivisor, ZeroElement
+from primpair.errors import NotADivisor, NotInSubfield, ZeroElement
 from primpair.ffield import make_field
 from primpair.ntheory import euler_phi, factorize
 from primpair.ratfunc import (
@@ -115,6 +115,22 @@ class TestLab:
         del ctx
         gc.collect()
         assert ref() is None
+
+    @pytest.mark.parametrize("q,m,r", [(2, 4, 2), (2, 6, 3), (3, 4, 2)])
+    def test_psi0_sub_matches_subfield_trace(self, q, m, r):
+        # psi0 at z in F_p reads Tr_{F_p/F_q}(z) = sum of z^(q^j), j < r
+        ctx = make_field(q, m)
+        lab = _lab(ctx, r)
+        for z in ctx.elements():
+            if not ctx.in_subfield(z, r):
+                with pytest.raises(NotInSubfield):
+                    lab.psi0_sub(z)
+                continue
+            tr = ctx.zero
+            for j in range(r):
+                tr = ctx.add(tr, ctx.pow(z, q ** j))
+            assert tr == ctx.scalar(tr.coeffs[0])
+            assert lab.psi0_sub(z) == lab.add_roots[tr.coeffs[0]]
 
     @pytest.mark.parametrize("q,m", [(2, 5), (3, 3), (5, 2), (7, 1), (2, 4)])
     def test_unit_rule_matches_zero_pole_set(self, q, m):

@@ -129,6 +129,27 @@ class TestWitness:
         _, out2 = run(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("bad", [
+        ("--a", "5"),              # GF(2) has subfield indices 0 and 1
+        ("--a", "-1"),
+        ("--b", "2"),
+        ("--f", "1:0,1:999,1"),    # element index above Q = 128
+        ("--f", "0:0,1:1"),        # zero scale
+        ("--f", "1:1,0,1:1"),      # numerator (x + 1)^2 is reducible
+        ("--f", "1:0,1:0,1"),      # num = den, not coprime
+        ("--f", "1:1:1"),          # constant function
+        ("--f", "1:0,1"),          # no denominator
+    ])
+    def test_rejects_bad_input(self, capsys, bad):
+        code, out = run(capsys, "--cache", "", "witness", "--q", "2", "--t", "7",
+                        "--a", "0", "--b", "0", *bad)
+        assert (code, out) == (2, "")
+
+    def test_a_needs_b(self, capsys):
+        code, out = run(capsys, "--cache", "", "witness", "--q", "2", "--t", "7",
+                        "--a", "1")
+        assert (code, out) == (2, "")
+
 
 class TestCharsumLab:
     def test_indicators_pass(self, capsys):
@@ -186,6 +207,10 @@ CLI_DIGESTS = {
         (0, "a0c1c7fa0e04c71fe983bcc73d40f3eebdb010c3cc0e282ce388d8896c423cc7"),
     ("witness", "--q", "2", "--t", "7", "--exhaustive"):
         (0, "61fb19b1a86302f8dc464b4fbe5e4c040d467e46ff2388900d16e7a562df0652"),
+    ("witness", "--q", "2", "--r", "2", "--t", "5", "--exhaustive"):
+        (0, "d1a59cf3679e2dacbfd669c7c546ab1c608c105a5a2bd1d2d87b5088249d2df2"),
+    ("witness", "--q", "2", "--t", "23"):
+        (0, "bc2bb8ba7c31df971401c4fe526446c0e90888def8dd61937079466cde33f069"),
 }
 
 

@@ -1,6 +1,9 @@
-"""Every name a primpair module exports resolves."""
+"""Every name a primpair module exports resolves, and every name it imports
+is used."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -16,3 +19,18 @@ def test_all_names_resolve(name):
     mod = importlib.import_module(name)
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_imports_are_used(name):
+    mod = importlib.import_module(name)
+    tree = ast.parse(inspect.getsource(mod))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = imported - used - set(getattr(mod, "__all__", ()))
+    assert unused == set()

@@ -1,6 +1,9 @@
 """Finite-field layer: arithmetic laws, traces, orders, subfields."""
 
+import gc
 import math
+import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +57,12 @@ class TestConstruction:
         ctx = make_field(7, 1)
         assert ctx.Q == 7
         assert sorted(ctx.to_index(x) for x in ctx.elements()) == list(range(7))
+
+    def test_from_index_range(self, gf81):
+        assert gf81.to_index(gf81.from_index(80)) == 80
+        for idx in (-1, 81, 999):
+            with pytest.raises(ValueError):
+                gf81.from_index(idx)
 
 
 class TestArithmetic:
@@ -142,7 +151,46 @@ class TestMultiplicativeStructure:
             ctx.discrete_log(ctx.generator)
 
 
+def _frobenius_reference(ctx, eps, r):
+    """Tr(eps) onto GF(q^r) as the sum of eps^(q^(r j)), by ctx.pow."""
+    acc = cur = eps
+    for _ in range(ctx.m // r - 1):
+        cur = ctx.pow(cur, ctx.q ** r)
+        acc = ctx.add(acc, cur)
+    return acc
+
+
 class TestTrace:
+    @pytest.mark.parametrize("q,m", [(2, 6), (3, 4)])
+    @pytest.mark.parametrize("table_cap", [1, 1 << 20])
+    def test_matches_frobenius_sum_everywhere(self, q, m, table_cap):
+        ctx = make_field(q, m, table_cap=table_cap)
+        for r in (d for d in range(1, m + 1) if m % d == 0):
+            for x in ctx.elements():
+                ref = _frobenius_reference(ctx, x, r)
+                assert ctx.trace_rel(x, r) == ref
+                if r == 1:
+                    assert ctx.abs_trace_int(x) == ref.coeffs[0]
+
+    @pytest.mark.parametrize("m,degrees", [(22, (1, 2, 11)), (23, (1,))])
+    def test_matches_frobenius_sum_untabled(self, m, degrees):
+        ctx = make_field(2, m)
+        rng = random.Random(m)
+        for r in degrees:
+            for _ in range(200):
+                x = ctx.from_index(rng.randrange(ctx.Q))
+                assert ctx.trace_rel(x, r) == _frobenius_reference(ctx, x, r)
+
+    def test_basis_traces_die_with_field(self):
+        ctx = make_field(2, 6)
+        ctx.trace_rel(ctx.one, 2)
+        ctx.abs_trace_int(ctx.one)
+        assert sorted(ctx.basis_traces) == [1, 2]
+        ref = weakref.ref(ctx)
+        del ctx
+        gc.collect()
+        assert ref() is None
+
     def test_absolute_trace_is_scalar_and_additive(self, gf128):
         for i in range(0, 128, 5):
             for j in range(0, 128, 9):

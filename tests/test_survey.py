@@ -133,6 +133,36 @@ class TestReproduce:
         assert total == len(diff.records)
 
 
+def _expect_recheck_failure(flags, corruption, target):
+    """Run witness_search on GF(2^7), f = 1/x, Tr(eps) = Tr(f(eps)) = target
+    after ``corruption`` in a fresh interpreter with ``flags``; both search
+    modes must raise the recheck's AssertionError."""
+    import primpair
+    src = os.path.dirname(os.path.dirname(primpair.__file__))
+    script = (
+        "import sys\n"
+        f"if __debug__ != {'-O' not in flags}: sys.exit('wrong optimization mode')\n"
+        "from primpair import survey\n"
+        "from primpair.ffield import make_field\n"
+        "from primpair.ratfunc import Poly, RationalFunction\n"
+        "ctx = make_field(2, 7)\n"
+        + corruption +
+        "f = RationalFunction(ctx.one, Poly((ctx.one,)), Poly((ctx.zero, ctx.one)))\n"
+        "for exhaustive in (True, False):\n"
+        "    try:\n"
+        f"        survey.witness_search(ctx, f, {target}, {target}, 1,\n"
+        "                              exhaustive=exhaustive)\n"
+        "    except AssertionError as exc:\n"
+        "        if 'independent recheck' in str(exc):\n"
+        "            continue\n"
+        "    sys.exit('witness_search returned without the recheck')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestWitnessSearch:
     def test_exhaustive_finds_inverse_map_witness(self):
         ctx = make_field(2, 7)
@@ -149,28 +179,15 @@ class TestWitnessSearch:
 
     def test_recheck_survives_optimized_mode(self):
         # the independent recheck is an explicit raise, so python -O keeps it
-        import primpair
-        src = os.path.dirname(os.path.dirname(primpair.__file__))
-        script = (
-            "import sys\n"
-            "if __debug__: sys.exit('not running under -O')\n"
-            "from primpair import survey\n"
-            "from primpair.ffield import make_field\n"
-            "from primpair.ratfunc import Poly, RationalFunction\n"
-            "survey._recheck_witness = lambda *args: False\n"
-            "ctx = make_field(2, 7)\n"
-            "f = RationalFunction(ctx.one, Poly((ctx.one,)), Poly((ctx.zero, ctx.one)))\n"
-            "for exhaustive in (True, False):\n"
-            "    try:\n"
-            "        survey.witness_search(ctx, f, ctx.one, ctx.one, 1, exhaustive=exhaustive)\n"
-            "    except AssertionError:\n"
-            "        continue\n"
-            "    sys.exit('witness_search returned without the recheck')\n"
-        )
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        _expect_recheck_failure(
+            ["-O"], "survey._recheck_witness = lambda *args: False\n", "ctx.one")
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_recheck_catches_corrupt_basis_traces(self, flags):
+        # with zeroed basis traces every trace_rel reads 0; the recheck sums
+        # Frobenius powers itself, so the first accepted eps fails it
+        _expect_recheck_failure(
+            flags, "ctx.basis_traces[1] = ((0,) * 7,) * 7\n", "ctx.zero")
 
     def test_randomized_reports_non_definitive(self):
         ctx = make_field(2, 7)
