@@ -7,6 +7,8 @@ explicit Complete/Partial status instead of silently guessing.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import random
 import threading
@@ -119,24 +121,36 @@ def is_prime(n: int) -> bool:
 # prime sieves
 
 _sieve_lock = threading.Lock()
+# Replaced by a longer list when the sieve grows, never mutated in place, so a
+# list a caller is walking stays valid while another thread grows the sieve.
 _sieve_primes: list[int] = []
 _sieve_limit = 0
 
 
-def primes_upto(limit: int) -> list[int]:
-    """All primes <= limit, cached module-wide."""
+def _eratosthenes(bound: int) -> list[int]:
+    """All primes <= bound, by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * (bound + 1)
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(bound) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes((bound - i * i) // i + 1)
+    return list(itertools.compress(range(bound + 1), flags))
+
+
+def _sieve(limit: int) -> list[int]:
+    """The module's prime list, grown to cover every prime <= limit."""
     global _sieve_primes, _sieve_limit
     with _sieve_lock:
         if limit > _sieve_limit:
-            bound = max(limit, 2 * _sieve_limit, 1 << 16)
-            flags = bytearray([1]) * (bound + 1)
-            flags[0:2] = b"\x00\x00"
-            for i in range(2, math.isqrt(bound) + 1):
-                if flags[i]:
-                    flags[i * i :: i] = bytes(len(flags[i * i :: i]))
-            _sieve_primes = [i for i, f in enumerate(flags) if f]
-            _sieve_limit = bound
-        return [p for p in _sieve_primes if p <= limit]
+            _sieve_limit = max(limit, 2 * _sieve_limit, 1 << 16)
+            _sieve_primes = _eratosthenes(_sieve_limit)
+        return _sieve_primes
+
+
+def primes_upto(limit: int) -> list[int]:
+    """All primes <= limit, sliced from the module-wide sieve."""
+    primes = _sieve(limit)
+    return primes[: bisect.bisect_right(primes, limit)]
 
 
 def primes_window(i: int, j: int) -> list[int]:
@@ -251,7 +265,7 @@ def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int
             ys = y
             for _ in range(min(m, r - k)):
                 y = (y * y + c) % n
-                q = q * abs(x - y) % n
+                q = q * (x - y) % n
             used += min(m, r - k)
             g = math.gcd(q, n)
             k += m
@@ -261,7 +275,7 @@ def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
+            g = math.gcd(x - ys, n)
     if 1 < g < n:
         return g, used
     return None, used
@@ -283,19 +297,24 @@ def factorize(
             return hit
 
     counts: dict[int, int] = {}
-    composites: list[int] = [n]
+    composites: list[int] = []
     budget = effort.rho_iterations
     rng = random.Random(n)
 
-    # trial division
-    m = composites.pop()
-    for p in primes_upto(effort.trial_bound):
-        if p * p > m:
+    # trial division, until the cofactor is 1 or prime
+    m = n
+    m_prime = is_prime(m)
+    for p in _sieve(effort.trial_bound):
+        if m_prime or p > effort.trial_bound or p * p > m:
             break
-        while m % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
-    if m > 1:
+        if m % p == 0:
+            while m % p == 0:
+                counts[p] = counts.get(p, 0) + 1
+                m //= p
+            m_prime = is_prime(m)
+    if m_prime:
+        counts[m] = 1
+    elif m > 1:
         composites.append(m)
 
     unresolved = 1

@@ -6,6 +6,7 @@ run witness searches on desk-scale fields.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -148,21 +149,33 @@ def classify(p: int, t: int, n: int = 2,
 # ---------------------------------------------------------------------------
 # published reference lists
 
-def load_published_failing() -> dict[int, list[int]]:
+@functools.cache
+def _published_failing() -> dict[int, tuple[int, ...]]:
     out: dict[int, list[int]] = {}
     with resources.files("primpair.data").joinpath("published_failing.csv").open() as fh:
         for row in csv.DictReader(fh):
             out.setdefault(int(row["t"]), []).append(int(row["p"]))
-    return out
+    return {t: tuple(ps) for t, ps in out.items()}
 
 
-def load_published_sieve() -> dict[int, list[tuple[int, int, int]]]:
+@functools.cache
+def _published_sieve() -> dict[int, tuple[tuple[int, int, int], ...]]:
     out: dict[int, list[tuple[int, int, int]]] = {}
     with resources.files("primpair.data").joinpath("published_sieve.csv").open() as fh:
         for row in csv.DictReader(fh):
             out.setdefault(int(row["t"]), []).append(
                 (int(row["p"]), int(row["k"]), int(row["m"])))
-    return out
+    return {t: tuple(rows) for t, rows in out.items()}
+
+
+# The tables are parsed once per process; the public loaders hand out fresh
+# containers, so no caller can change what the next caller reads.
+def load_published_failing() -> dict[int, list[int]]:
+    return {t: list(ps) for t, ps in _published_failing().items()}
+
+
+def load_published_sieve() -> dict[int, list[tuple[int, int, int]]]:
+    return {t: list(rows) for t, rows in _published_sieve().items()}
 
 
 def published_exceptions(t: int) -> list[int]:

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primpair import ntheory
 from primpair.errors import PartialFactorization
 from primpair.ntheory import (
     FactorCache,
@@ -49,6 +50,36 @@ class TestPrimes:
     def test_primes_upto(self):
         assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert primes_upto(1) == []
+
+    def test_limits_after_a_larger_sieve(self):
+        primes_upto(10 ** 6)
+        for limit in (0, 1, 2, 7919, 7918, ntheory._sieve_limit):
+            assert primes_upto(limit) == list(sympy.primerange(2, limit + 1))
+
+    def test_returned_list_is_a_copy(self):
+        ps = primes_upto(100)
+        ps[0] = 9
+        ps.append(4)
+        assert primes_upto(100) == list(sympy.primerange(2, 101))
+        limit = ntheory._sieve_limit
+        ps = primes_upto(limit)
+        expected = list(ps)
+        ps.clear()
+        assert primes_upto(limit) == expected
+        assert primes_upto(100) == list(sympy.primerange(2, 101))
+
+    @staticmethod
+    def _plain_sieve(bound):
+        flags = bytearray([1]) * (bound + 1)
+        flags[0:2] = b"\x00\x00"
+        for i in range(2, int(bound ** 0.5) + 1):
+            if flags[i]:
+                flags[i * i :: i] = bytes(len(flags[i * i :: i]))
+        return [i for i, f in enumerate(flags) if f]
+
+    def test_sieve_build_matches_plain_sieve(self):
+        for bound in list(range(2, 301)) + [10 ** 6]:
+            assert ntheory._eratosthenes(bound) == self._plain_sieve(bound)
 
     def test_primes_window_one_indexed(self):
         assert primes_window(1, 5) == [2, 3, 5, 7, 11]
@@ -96,6 +127,52 @@ class TestFactorize:
         assert fac.cofactor > 1
         with pytest.raises(PartialFactorization):
             fac.require_complete()
+
+
+class TestTrialDivisionWalk:
+    @staticmethod
+    def _check(n):
+        fac = factorize(n)
+        assert fac.complete and fac.cofactor == 1
+        primes = fac.primes()
+        assert list(primes) == sorted(set(primes))
+        assert all(sympy.isprime(p) for p in primes)
+        prod = 1
+        for p, e in fac.factors:
+            prod *= p ** e
+        assert prod == n
+        return fac
+
+    def test_prime_above_1e12(self):
+        n = 10 ** 12 + 39
+        assert self._check(n).factors == ((n, 1),)
+
+    def test_small_prime_times_20_digit_prime(self):
+        big = sympy.nextprime(10 ** 19)
+        assert self._check(7 * big).factors == ((7, 1), (big, 1))
+
+    def test_semiprime_beyond_trial_bound_needs_rho(self):
+        assert self._check(1000003 * 1000033).factors == ((1000003, 1), (1000033, 1))
+
+    def test_square_of_prime_beyond_trial_bound(self):
+        assert self._check(1000003 ** 2).factors == ((1000003, 2),)
+
+    @pytest.mark.parametrize("p,t", [(2, 62), (22247, 7), (3, 40)])
+    def test_prime_power_orders(self, p, t):
+        fac = self._check(p ** t - 1)
+        assert fac == factor_prime_power_order(p, t)
+
+    # Pinned values: the walk must stop at trial_bound = 10 although the
+    # module's sieve always reaches 2^16.
+    @pytest.mark.parametrize("n,status,factors,cofactor", [
+        (143, FactorStatus.COMPLETE, ((11, 1), (13, 1)), 1),
+        (2 * 3 * 101, FactorStatus.COMPLETE, ((2, 1), (3, 1), (101, 1)), 1),
+        (10007 ** 7 - 1, FactorStatus.PARTIAL, ((2, 1),),
+         5024551510067035151468126771),
+    ])
+    def test_trial_bound_below_sieve_minimum(self, n, status, factors, cofactor):
+        fac = factorize(n, effort=FactorEffort(trial_bound=10, rho_iterations=1))
+        assert (fac.status, fac.factors, fac.cofactor) == (status, factors, cofactor)
 
 
 class TestFactorizationType:

@@ -105,6 +105,23 @@ class TestPublishedData:
                           14: 5, 15: 6, 16: 5, 18: 4, 20: 3, 22: 1, 24: 3,
                           28: 1, 30: 1, 36: 1}
 
+    def test_returned_tables_are_fresh(self):
+        ref_failing, ref_sieve = load_published_failing(), load_published_sieve()
+        failing, sieve = load_published_failing(), load_published_sieve()
+        failing[8].clear()
+        failing[99] = [5]
+        sieve[8].clear()
+        del sieve[9]
+        assert load_published_failing() == ref_failing
+        assert load_published_sieve() == ref_sieve
+        diff = reproduce_appendix(8)
+        assert diff.published_failing == tuple(sorted(ref_failing[8]))
+        sieved = {p for p, _, _ in ref_sieve[8]}
+        assert diff.published_exceptions == tuple(
+            sorted(set(ref_failing[8]) - sieved))
+        assert len(diff.published_failing) == 201
+        assert len(diff.published_exceptions) == 25
+
     def test_exception_sets_fast_tier(self):
         assert published_exceptions(9) == [2, 3, 4, 5, 7, 9, 11, 16]
         assert published_exceptions(11) == [2, 3, 4]
