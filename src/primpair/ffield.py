@@ -51,48 +51,96 @@ def _ptrim(a):
     return a
 
 
-def _pmod(a, f, q):
-    a = [c % q for c in a]
-    _ptrim(a)
-    inv_lead = pow(f[-1], -1, q)
-    while len(a) >= len(f):
-        shift = len(a) - len(f)
-        c = a[-1] * inv_lead % q
+def _pdivmod(a, f, q):
+    """Quotient and remainder of a by a monic f over GF(q), both trimmed."""
+    rem = [c % q for c in a]
+    m = len(f) - 1
+    quot = [0] * max(len(rem) - m, 0)
+    for shift in range(len(rem) - len(f), -1, -1):
+        c = rem[shift + m]
         if c:
+            quot[shift] = c
             for i, fi in enumerate(f):
-                a[shift + i] = (a[shift + i] - c * fi) % q
-        a.pop()
-        _ptrim(a)
-    return a
-
-
-def _pmulmod(a, b, f, q):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    return _pmod(out, f, q)
-
-
-def _ppowmod(a, e, f, q):
-    result = [1]
-    base = _pmod(a, f, q)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, f, q)
-        base = _pmulmod(base, base, f, q)
-        e >>= 1
-    return result
+                rem[shift + i] = (rem[shift + i] - c * fi) % q
+    return _ptrim(quot), _ptrim(rem[:m])
 
 
 def _pgcd(a, b, q):
     a, b = list(a), list(b)
     while b:
         b_monic = [c * pow(b[-1], -1, q) % q for c in b]
-        a = _pmod(a, b_monic, q)
+        a = _pdivmod(a, b_monic, q)[1]
         a, b = b, a
     return a
+
+
+class _Kernel:
+    """Products in GF(q)[x]/(f), f monic of degree m, by Kronecker
+    substitution (von zur Gathen & Gerhard, Modern Computer Algebra, 8.4).
+
+    A polynomial is packed into one int, coefficient i in bits
+    [i*w, (i+1)*w), so a polynomial product is one int product.  No slot
+    ever holds more than v = m*(q-1)^2, so no slot carries into the next.
+    All slots are taken mod q at once: for x <= v, x // q is
+    (x * recip) >> s, which fits in the w - s bits above bit s.
+
+    A product, of degree <= 2m - 2, is reduced by one polynomial Barrett
+    step: its quotient by f is (high * mu) div x^m, where high is the
+    product div x^m and mu = x^(2m) div f, and its remainder is the low m
+    slots of low + quotient * (-f mod x^m).  A product therefore costs a
+    fixed number of int operations, whatever m is.
+    """
+
+    __slots__ = ("q", "m", "w", "recip", "s", "qmask", "shift", "low", "mu", "fneg")
+
+    def __init__(self, f, q):
+        if f[-1] != 1:
+            raise ValueError("the modulus must be monic")
+        m = len(f) - 1
+        v = m * (q - 1) ** 2
+        self.q, self.m = q, m
+        self.s = (v * q).bit_length()
+        self.recip = (1 << self.s) // q + 1
+        self.w = w = (v * self.recip).bit_length()
+        self.qmask = sum(((1 << (w - self.s)) - 1) << (i * w) for i in range(2 * m - 1))
+        self.shift = m * w
+        self.low = (1 << self.shift) - 1
+        self.mu = self.pack(_pdivmod([0] * (2 * m) + [1], f, q)[0])
+        self.fneg = self.pack([-fi % q for fi in f[:m]])
+
+    def pack(self, coeffs) -> int:
+        v = 0
+        for c in reversed(coeffs):
+            v = (v << self.w) | c
+        return v
+
+    def unpack(self, v: int) -> tuple[int, ...]:
+        w = self.w
+        mask = (1 << w) - 1
+        out = []
+        for _ in range(self.m):
+            out.append(v & mask)
+            v >>= w
+        return tuple(out)
+
+    def mulmod(self, a: int, b: int) -> int:
+        q, recip, s, qmask = self.q, self.recip, self.s, self.qmask
+        shift, low = self.shift, self.low
+        p = a * b
+        p -= q * (((p * recip) >> s) & qmask)
+        t = (p >> shift) * self.mu
+        t -= q * (((t * recip) >> s) & qmask)
+        r = (p & low) + (((t >> shift) * self.fneg) & low)
+        return r - q * (((r * recip) >> s) & qmask)
+
+    def powmod(self, a: int, e: int) -> int:
+        """a^e for e >= 0, left-to-right square-and-multiply."""
+        r = 1
+        for bit in bin(e)[2:]:
+            r = self.mulmod(r, r)
+            if bit == "1":
+                r = self.mulmod(r, a)
+        return r
 
 
 def _base_irreducible(f, q):
@@ -102,20 +150,18 @@ def _base_irreducible(f, q):
         return False
     if m == 1:
         return True
-    x = [0, 1]
+    kernel = _Kernel(f, q)
+    x = kernel.pack((0, 1))
+
+    def x_power_minus_x(e):
+        h = list(kernel.unpack(kernel.powmod(x, e)))
+        h[1] = (h[1] - 1) % q
+        return _ptrim(h)
+
     for ell in {p for p in range(2, m + 1) if m % p == 0 and is_prime(p)}:
-        h = _ppowmod(x, q ** (m // ell), f, q)
-        diff = list(h)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % q
-        if len(_pgcd(f, _ptrim(diff), q)) != 1:
+        if len(_pgcd(f, x_power_minus_x(q ** (m // ell)), q)) != 1:
             return False
-    h = _ppowmod(x, q ** m, f, q)
-    while len(h) < 2:
-        h.append(0)
-    h[1] = (h[1] - 1) % q
-    return not _ptrim(h)
+    return not x_power_minus_x(q ** m)
 
 
 class FieldCtx:
@@ -130,6 +176,7 @@ class FieldCtx:
         self.modulus = modulus
         self.Q = q ** m
         self.order_facts = order_facts
+        self._kernel = _Kernel(modulus, q)
         self.generator: FieldElement | None = None
         self._exp: list[tuple[int, ...]] | None = None
         self._log: dict[tuple[int, ...], int] | None = None
@@ -157,12 +204,13 @@ class FieldCtx:
                 return cand
 
     def _build_tables(self):
-        g = self.generator
+        kernel = self._kernel
+        g = kernel.pack(self.generator.coeffs)
         exp = [self.one.coeffs]
-        cur = self.one
+        cur = 1                   # the packed one
         for _ in range(self.Q - 2):
-            cur = self._mul_poly(cur, g)
-            exp.append(cur.coeffs)
+            cur = kernel.mulmod(cur, g)
+            exp.append(kernel.unpack(cur))
         self._exp = exp
         self._log = {c: j for j, c in enumerate(exp)}
 
@@ -215,9 +263,9 @@ class FieldCtx:
         return FieldElement(tuple(-a % q for a in x.coeffs))
 
     def _mul_poly(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        prod = _pmulmod(list(x.coeffs), list(y.coeffs), list(self.modulus), self.q)
-        prod += [0] * (self.m - len(prod))
-        return FieldElement(tuple(prod[: self.m]))
+        kernel = self._kernel
+        return FieldElement(kernel.unpack(
+            kernel.mulmod(kernel.pack(x.coeffs), kernel.pack(y.coeffs))))
 
     def mul(self, x: FieldElement, y: FieldElement) -> FieldElement:
         if self._log is not None:
@@ -242,14 +290,9 @@ class FieldCtx:
         return self._pow_poly(x, e)
 
     def _pow_poly(self, x: FieldElement, e: int) -> FieldElement:
-        """x^e for e >= 0 by square-and-multiply, bypassing the log table."""
-        result = self.one
-        while e:
-            if e & 1:
-                result = self._mul_poly(result, x)
-            x = self._mul_poly(x, x)
-            e >>= 1
-        return result
+        """x^e for e >= 0, packed throughout, bypassing the log table."""
+        kernel = self._kernel
+        return FieldElement(kernel.unpack(kernel.powmod(kernel.pack(x.coeffs), e)))
 
     def inv(self, x: FieldElement) -> FieldElement:
         if x.is_zero():

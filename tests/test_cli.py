@@ -211,6 +211,10 @@ CLI_DIGESTS = {
         (0, "d1a59cf3679e2dacbfd669c7c546ab1c608c105a5a2bd1d2d87b5088249d2df2"),
     ("witness", "--q", "2", "--t", "23"):
         (0, "bc2bb8ba7c31df971401c4fe526446c0e90888def8dd61937079466cde33f069"),
+    ("witness", "--q", "3", "--t", "13"):
+        (0, "3f07345615b4d4626f1ea672daec86592dab999d7cf430b44e8f698a5237be78"),
+    ("witness", "--q", "5", "--t", "9"):
+        (0, "86eb3426c4e20ce54f707683fdb9c6f5ce20e281911f2bb9dd1db8e0b01224f4"),
 }
 
 

@@ -1,5 +1,5 @@
-"""Every name a primpair module exports resolves, and every name it imports
-is used."""
+"""Every name a primpair module exports resolves, every name it imports is
+used, and no check is an `assert`."""
 
 import ast
 import importlib
@@ -34,3 +34,11 @@ def test_imports_are_used(name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = imported - used - set(getattr(mod, "__all__", ()))
     assert unused == set()
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_assert_statements(name):
+    # python -O strips assert statements; a check must raise explicitly
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []

@@ -6,8 +6,10 @@ import random
 import weakref
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.galoistools import gf_pow_mod
 
 from primpair.errors import (
     BadSubfieldDegree,
@@ -15,7 +17,7 @@ from primpair.errors import (
     NotADivisor,
     ZeroElement,
 )
-from primpair.ffield import make_field
+from primpair.ffield import FieldElement, _base_irreducible, make_field
 from primpair.ntheory import euler_phi, factorize
 
 
@@ -98,6 +100,90 @@ class TestArithmetic:
                 lhs = gf81.pow(gf81.add(x, y), 3)
                 rhs = gf81.add(gf81.pow(x, 3), gf81.pow(y, 3))
                 assert lhs == rhs
+
+
+# make_field(q, m) at the default seed: (modulus, generator), lowest degree
+# first.  Every discrete log, and so every charsum output, depends on both.
+PINNED_FIELDS = {
+    (2, 13): ((1, 0, 0, 0, 0, 0, 1, 0, 1, 1, 1, 1, 0, 1),
+              (0, 1, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 0)),
+    (3, 7): ((2, 2, 2, 2, 2, 1, 1, 1), (1, 1, 2, 2, 2, 2, 0)),
+    (2, 10): ((1, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1),
+              (1, 1, 1, 0, 0, 1, 1, 0, 1, 0)),
+    (2, 22): ((1, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 1, 1, 1, 1, 0, 1, 0, 0, 1),
+              (1, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1)),
+    (2, 23): ((1, 1, 1, 1, 0, 1, 0, 1, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 1, 1, 1),
+              (1, 1, 1, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0)),
+    (3, 13): ((1, 2, 1, 0, 0, 2, 2, 2, 2, 2, 2, 1, 1, 1),
+              (2, 1, 2, 1, 2, 1, 0, 2, 0, 2, 0, 0, 2)),
+    (5, 9): ((4, 2, 0, 3, 2, 1, 3, 1, 1, 1), (3, 0, 4, 0, 0, 2, 4, 0, 2)),
+    (7, 8): ((1, 1, 4, 0, 5, 4, 5, 3, 1), (3, 2, 1, 6, 1, 4, 4, 1)),
+}
+
+
+@pytest.mark.parametrize("q,m", sorted(PINNED_FIELDS))
+def test_modulus_and_generator_pinned(q, m):
+    ctx = make_field(q, m)
+    assert (ctx.modulus, ctx.generator.coeffs) == PINNED_FIELDS[(q, m)]
+
+
+_X = sympy.Symbol("x")
+
+
+def _sympy_poly(coeffs, q):
+    return sympy.Poly(list(reversed(coeffs)), _X, modulus=q)
+
+
+def _sympy_mulmod(ctx, x, y):
+    """x*y reduced mod the field's modulus, computed by sympy."""
+    q = ctx.q
+    rem = (_sympy_poly(x.coeffs, q) * _sympy_poly(y.coeffs, q)).rem(
+        _sympy_poly(ctx.modulus, q))
+    out = [int(c) % q for c in reversed(rem.all_coeffs())]
+    return tuple(out + [0] * (ctx.m - len(out)))
+
+
+class TestProductOracle:
+    """Untabled products and the Rabin test against sympy."""
+
+    # m = 1 has the modulus x; (65537, 2) packs into 67-bit slots
+    @pytest.mark.parametrize("q,m", [(q, m) for q in (2, 3, 5, 7)
+                                     for m in (1, 2, 3, 7, 13, 22, 23)]
+                             + [(257, 3), (65537, 2)])
+    def test_products_match_sympy(self, q, m):
+        ctx = make_field(q, m, table_cap=1)
+        rng = random.Random(100 * q + m)
+        top = FieldElement((q - 1,) * m)      # the largest value in every slot
+        rand = [ctx.from_index(rng.randrange(ctx.Q)) for _ in range(40)]
+        pairs = [(top, top)] + [(top, x) for x in rand[:4]] + list(zip(rand[::2], rand[1::2]))
+        for x, y in pairs:
+            assert ctx.mul(x, y).coeffs == _sympy_mulmod(ctx, x, y)
+
+    @pytest.mark.parametrize("q,m", [(2, 22), (3, 13)])
+    def test_inverse_of_random_units(self, q, m):
+        ctx = make_field(q, m, table_cap=1)
+        rng = random.Random(m)
+        f = list(reversed(ctx.modulus))
+        for _ in range(200):
+            x = ctx.from_index(rng.randrange(1, ctx.Q))
+            assert ctx.mul(x, ctx.inv(x)) == ctx.one
+        # the inverse itself, as x^(Q-2) by sympy, on a few of them
+        for _ in range(5):
+            x = ctx.from_index(rng.randrange(1, ctx.Q))
+            ref = gf_pow_mod(list(reversed(x.coeffs)), ctx.Q - 2, f, q, sympy.ZZ)
+            assert ctx.inv(x).coeffs == tuple(reversed([0] * (m - len(ref)) + ref))
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_rabin_matches_sympy(self, q):
+        rng = random.Random(q)
+        seen = set()
+        for deg in range(1, 13):
+            for _ in range(25):
+                f = [rng.randrange(q) for _ in range(deg)] + [1]
+                expected = _sympy_poly(f, q).is_irreducible
+                assert _base_irreducible(f, q) == expected, f
+                seen.add(expected)
+        assert seen == {True, False}
 
 
 class TestMultiplicativeStructure:
