@@ -96,12 +96,13 @@ class _Lab:
 
     def psi_hat0(self, x: FieldElement) -> complex:
         """Canonical additive character of the big field."""
-        return self.add_roots[self.ctx.abs_trace_int(x)]
+        return self.add_roots[self.ctx.trace_rel(x, 1)]
 
     def psi0_sub(self, z: FieldElement) -> complex:
         """Canonical additive character of the subfield F_p at z in F_p."""
         if not self.ctx.in_subfield(z, self.r):
-            raise NotInSubfield(f"{z} not fixed by Frobenius^{self.r}")
+            raise NotInSubfield(f"element index {self.ctx.to_index(z)} "
+                                f"not fixed by Frobenius^{self.r}")
         return self.psi_hat0(self.ctx.mul(z, self.w))
 
     def tau(self, a: FieldElement, x: FieldElement) -> complex:
@@ -125,9 +126,7 @@ def _lab(ctx: FieldCtx, r: int) -> _Lab:
 def _outside_Pp(ctx: FieldCtx, f: RationalFunction):
     """(eps, f(eps)) for every eps outside P', i.e. with eps and f(eps) both
     units, in element order."""
-    for eps in ctx.elements():
-        if eps.is_zero():
-            continue
+    for eps in ctx.units():
         eps0 = eval_rational(ctx, f, eps)
         if eps0 is not POLE and not eps0.is_zero():
             yield eps, eps0

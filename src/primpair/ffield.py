@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from operator import mul
 
 from .errors import (
     BadSubfieldDegree,
@@ -33,14 +31,14 @@ __all__ = ["FieldElement", "FieldCtx", "make_field"]
 DEFAULT_TABLE_CAP = 1 << 20
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """Polynomial-basis coordinates over the prime field, lowest degree first."""
+class FieldElement(int):
+    """An element of GF(q^m) in its field's packed form: polynomial-basis
+    coordinate i over GF(q), in [0, q), in slot i of the field's _Kernel."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self
 
 
 # -- dense polynomial helpers over GF(q), little-endian int lists -----------
@@ -80,7 +78,8 @@ class _Kernel:
 
     A polynomial is packed into one int, coefficient i in bits
     [i*w, (i+1)*w), so a polynomial product is one int product.  No slot
-    ever holds more than v = m*(q-1)^2, so no slot carries into the next.
+    ever holds more than v = max(m, 2)*(q-1)^2, which bounds the slots of a
+    product and of x + (q-1)*y alike, so no slot carries into the next.
     All slots are taken mod q at once: for x <= v, x // q is
     (x * recip) >> s, which fits in the w - s bits above bit s.
 
@@ -97,7 +96,7 @@ class _Kernel:
         if f[-1] != 1:
             raise ValueError("the modulus must be monic")
         m = len(f) - 1
-        v = m * (q - 1) ** 2
+        v = max(m, 2) * (q - 1) ** 2
         self.q, self.m = q, m
         self.s = (v * q).bit_length()
         self.recip = (1 << self.s) // q + 1
@@ -122,6 +121,10 @@ class _Kernel:
             out.append(v & mask)
             v >>= w
         return tuple(out)
+
+    def reduce(self, v: int) -> int:
+        """Every slot of v taken mod q; each slot must be at most the bound."""
+        return v - self.q * (((v * self.recip) >> self.s) & self.qmask)
 
     def mulmod(self, a: int, b: int) -> int:
         q, recip, s, qmask = self.q, self.recip, self.s, self.qmask
@@ -154,9 +157,8 @@ def _base_irreducible(f, q):
     x = kernel.pack((0, 1))
 
     def x_power_minus_x(e):
-        h = list(kernel.unpack(kernel.powmod(x, e)))
-        h[1] = (h[1] - 1) % q
-        return _ptrim(h)
+        h = kernel.reduce(kernel.powmod(x, e) + (q - 1) * x)
+        return _ptrim(list(kernel.unpack(h)))
 
     for ell in {p for p in range(2, m + 1) if m % p == 0 and is_prime(p)}:
         if len(_pgcd(f, x_power_minus_x(q ** (m // ell)), q)) != 1:
@@ -177,12 +179,21 @@ class FieldCtx:
         self.Q = q ** m
         self.order_facts = order_facts
         self._kernel = _Kernel(modulus, q)
+        # from_index reads c base-q digits at a time from a table of the
+        # packed form of every index below q^c <= max(q, 256)
+        w, c, packed = self._kernel.w, 1, range(q)    # a digit packs as itself
+        while q ** (c + 1) <= 256:
+            packed = [t | d << c * w for d in range(q) for t in packed]
+            c += 1
+        self._chunks = (q ** c, c * w, packed)
+        self.zero = FieldElement(0)
+        self.one = FieldElement(1)
         self.generator: FieldElement | None = None
-        self._exp: list[tuple[int, ...]] | None = None
-        self._log: dict[tuple[int, ...], int] | None = None
+        self._exp: list[FieldElement] | None = None
+        self._log: dict[int, int] | None = None
         # charsum labs and basis traces by subfield degree r die with the field
         self.labs: dict = {}
-        self.basis_traces: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self.basis_traces: dict[int, tuple[tuple[int, int], ...]] = {}
         if order_facts.complete:
             self.generator = self._find_generator(gen_seed)
             if self.Q <= table_cap:
@@ -195,8 +206,9 @@ class FieldCtx:
         primes = self.order_facts.primes()
         n = self.Q - 1
         while True:
-            cand = FieldElement(tuple(rng.randrange(self.q) for _ in range(self.m)))
-            if cand.is_zero():
+            cand = FieldElement(self._kernel.pack(
+                [rng.randrange(self.q) for _ in range(self.m)]))
+            if not cand:
                 continue
             if n == 1:
                 return cand
@@ -204,98 +216,75 @@ class FieldCtx:
                 return cand
 
     def _build_tables(self):
-        kernel = self._kernel
-        g = kernel.pack(self.generator.coeffs)
-        exp = [self.one.coeffs]
-        cur = 1                   # the packed one
+        mulmod, g = self._kernel.mulmod, self.generator
+        exp = [self.one]
+        cur = 1
         for _ in range(self.Q - 2):
-            cur = kernel.mulmod(cur, g)
-            exp.append(kernel.unpack(cur))
+            cur = mulmod(cur, g)
+            exp.append(FieldElement(cur))
         self._exp = exp
-        self._log = {c: j for j, c in enumerate(exp)}
+        self._log = {x: j for j, x in enumerate(exp)}
 
-    # -- canonical elements
-
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement((0,) * self.m)
-
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement((1,) + (0,) * (self.m - 1))
-
-    def scalar(self, c: int) -> FieldElement:
-        return FieldElement((c % self.q,) + (0,) * (self.m - 1))
+    # -- conversions: the base-q index of coordinates, lowest degree first
 
     def from_index(self, idx: int) -> FieldElement:
         """Base-q digit expansion; indexes all Q elements."""
         if not 0 <= idx < self.Q:
             raise ValueError(f"element index {idx} outside [0, {self.Q})")
-        digits = []
-        for _ in range(self.m):
-            digits.append(idx % self.q)
-            idx //= self.q
-        return FieldElement(tuple(digits))
+        base, width, packed = self._chunks
+        v = shift = 0
+        while idx:
+            idx, d = divmod(idx, base)
+            v |= packed[d] << shift
+            shift += width
+        return FieldElement(v)
 
     def to_index(self, x: FieldElement) -> int:
-        return sum(c * self.q ** i for i, c in enumerate(x.coeffs))
+        return sum(c * self.q ** i for i, c in enumerate(self._kernel.unpack(x)))
 
     def elements(self):
-        for idx in range(self.Q):
-            yield self.from_index(idx)
+        return map(self.from_index, range(self.Q))
 
     def units(self):
-        for idx in range(1, self.Q):
-            yield self.from_index(idx)
+        return map(self.from_index, range(1, self.Q))
 
     # -- arithmetic
 
     def add(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        q = self.q
-        return FieldElement(tuple((a + b) % q for a, b in zip(x.coeffs, y.coeffs)))
+        return FieldElement(self._kernel.reduce(x + y))
 
     def sub(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        q = self.q
-        return FieldElement(tuple((a - b) % q for a, b in zip(x.coeffs, y.coeffs)))
+        return FieldElement(self._kernel.reduce(x + (self.q - 1) * y))
 
     def neg(self, x: FieldElement) -> FieldElement:
-        q = self.q
-        return FieldElement(tuple(-a % q for a in x.coeffs))
-
-    def _mul_poly(self, x: FieldElement, y: FieldElement) -> FieldElement:
-        kernel = self._kernel
-        return FieldElement(kernel.unpack(
-            kernel.mulmod(kernel.pack(x.coeffs), kernel.pack(y.coeffs))))
+        return FieldElement(self._kernel.reduce((self.q - 1) * x))
 
     def mul(self, x: FieldElement, y: FieldElement) -> FieldElement:
         if self._log is not None:
-            if x.is_zero() or y.is_zero():
+            if not x or not y:
                 return self.zero
-            j = (self._log[x.coeffs] + self._log[y.coeffs]) % (self.Q - 1)
-            return FieldElement(self._exp[j])
-        return self._mul_poly(x, y)
+            return self._exp[(self._log[x] + self._log[y]) % (self.Q - 1)]
+        return FieldElement(self._kernel.mulmod(x, y))
 
     def pow(self, x: FieldElement, e: int) -> FieldElement:
-        if x.is_zero():
+        if not x:
             if e == 0:
                 return self.one
             if e < 0:
                 raise ZeroElement("negative power of zero")
             return self.zero
         if self._log is not None:
-            j = self._log[x.coeffs] * e % (self.Q - 1)
-            return FieldElement(self._exp[j])
+            return self._exp[self._log[x] * e % (self.Q - 1)]
         if e < 0:
             x, e = self.inv(x), -e
         return self._pow_poly(x, e)
 
     def _pow_poly(self, x: FieldElement, e: int) -> FieldElement:
-        """x^e for e >= 0, packed throughout, bypassing the log table."""
-        kernel = self._kernel
-        return FieldElement(kernel.unpack(kernel.powmod(kernel.pack(x.coeffs), e)))
+        """x^e for e >= 0 by the kernel, bypassing the log table."""
+        return FieldElement(self._kernel.powmod(x, e))
 
     def inv(self, x: FieldElement) -> FieldElement:
-        if x.is_zero():
+        if not x:
             raise ZeroElement("zero has no inverse")
         return self.pow(x, self.Q - 2)
 
@@ -309,37 +298,42 @@ class FieldCtx:
             acc = self.add(acc, cur)
         return acc
 
-    def _trace_columns(self, r: int) -> tuple[tuple[int, ...], ...]:
-        """Column k: coordinate k of Tr(x^i), i < m; Tr is GF(q)-linear."""
+    def _trace_columns(self, r: int) -> tuple[tuple[int, int], ...]:
+        """(k, column k packed in reverse) for each coordinate k that Tr can
+        make nonzero: slot m-1-i of column k is coordinate k of Tr(x^i), so
+        coordinate k of Tr(eps) is slot m-1 of eps * column; Tr is
+        GF(q)-linear, and no slot of that product exceeds m*(q-1)^2."""
         cols = self.basis_traces.get(r)
         if cols is None:
             if self.m % r != 0:
                 raise BadSubfieldDegree(f"{r} does not divide {self.m}")
-            basis = (self.from_index(self.q ** i) for i in range(self.m))
-            cols = tuple(zip(*(self._frobenius_trace(x, r).coeffs for x in basis)))
-            if r == 1 and any(map(any, cols[1:])):
+            kernel = self._kernel
+            images = (kernel.unpack(self._frobenius_trace(1 << i * kernel.w, r))
+                      for i in range(self.m))
+            cols = tuple((k, kernel.pack(col[::-1]))
+                         for k, col in enumerate(zip(*images)) if any(col))
+            if r == 1 and any(k for k, _ in cols):
                 raise AssertionError("absolute traces of the basis are not scalar")
             self.basis_traces[r] = cols
         return cols
 
     def trace_rel(self, eps: FieldElement, r: int) -> FieldElement:
         """Trace onto the intermediate field GF(q^r) <= GF(q^m)."""
-        q = self.q
-        return FieldElement(tuple(sum(map(mul, eps.coeffs, col)) % q
-                                  for col in self._trace_columns(r)))
-
-    def abs_trace_int(self, eps: FieldElement) -> int:
-        """Trace to the prime field GF(q), read off as an integer."""
-        return sum(map(mul, eps.coeffs, self._trace_columns(1)[0])) % self.q
+        w, q = self._kernel.w, self.q
+        top, slot = self._kernel.shift - w, (1 << w) - 1
+        tr = 0
+        for k, col in self._trace_columns(r):
+            tr |= ((eps * col >> top) & slot) % q << k * w
+        return FieldElement(tr)
 
     def element_order(self, eps: FieldElement) -> int:
-        if eps.is_zero():
+        if not eps:
             raise ZeroElement("order of zero is undefined")
         if not self.order_facts.complete:
             raise FactorizationIncomplete(self.order_facts.n)
         n = self.Q - 1
         if self._log is not None:
-            return n // math.gcd(n, self._log[eps.coeffs])
+            return n // math.gcd(n, self._log[eps])
         order = n
         for ell, e in self.order_facts.factors:
             for _ in range(e):
@@ -354,7 +348,7 @@ class FieldCtx:
 
     def is_ufree(self, eps: FieldElement, u: int) -> bool:
         """gcd(u, (Q-1)/order) = 1; u-free per the character-sum setup."""
-        if eps.is_zero():
+        if not eps:
             raise ZeroElement("u-free is defined on units only")
         if (self.Q - 1) % u != 0:
             raise NotADivisor(f"{u} does not divide {self.Q - 1}")
@@ -383,13 +377,13 @@ class FieldCtx:
 
     def discrete_log(self, eps: FieldElement) -> int:
         """j with generator^j = eps, read from the log table."""
-        if eps.is_zero():
+        if not eps:
             raise ZeroElement("discrete log of zero")
         if self.generator is None:
             raise FactorizationIncomplete("discrete log needs a generator")
         if self._log is None:
             raise BudgetExceeded(f"GF({self.q}^{self.m}) is above the log-table cap")
-        return self._log[eps.coeffs]
+        return self._log[eps]
 
     def __repr__(self):
         return f"FieldCtx(GF({self.q}^{self.m}))"

@@ -33,7 +33,7 @@ from .ntheory import (
     integer_nth_root,
     primes_upto,
 )
-from .ratfunc import RationalFunction, eval_rational, sample_rational
+from .ratfunc import POLE, RationalFunction, eval_rational, sample_rational
 
 __all__ = [
     "SurveyStatus",
@@ -252,7 +252,7 @@ def _is_witness(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
     if ctx.trace_rel(eps, r) != a:
         return False
     eps0 = eval_rational(ctx, f, eps)
-    if not isinstance(eps0, FieldElement) or eps0.is_zero():
+    if eps0 is POLE or eps0.is_zero():
         return False
     if ctx.trace_rel(eps0, r) != b:
         return False
@@ -278,7 +278,7 @@ def witness_search(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
     if not ctx.order_facts.complete:
         raise FactorizationIncomplete(ctx.order_facts.n)
     if exhaustive:
-        candidates = (ctx.from_index(idx) for idx in range(1, ctx.Q))
+        candidates = ctx.units()
     else:
         rng = random.Random(seed)
         candidates = (ctx.from_index(rng.randrange(1, ctx.Q))
@@ -286,7 +286,8 @@ def witness_search(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
     for eps in candidates:
         if _is_witness(ctx, f, a, b, r, eps):
             if not _recheck_witness(ctx, f, a, b, r, eps):
-                raise AssertionError(f"witness {eps} fails the independent recheck")
+                raise AssertionError(f"witness {ctx.to_index(eps)} fails the "
+                                     "independent recheck")
             return WitnessResult(eps, definitive=exhaustive)
     return WitnessResult(None, definitive=exhaustive)
 

@@ -129,8 +129,17 @@ class TestLab:
             tr = ctx.zero
             for j in range(r):
                 tr = ctx.add(tr, ctx.pow(z, q ** j))
-            assert tr == ctx.scalar(tr.coeffs[0])
-            assert lab.psi0_sub(z) == lab.add_roots[tr.coeffs[0]]
+            assert tr < q             # a scalar's packed int is its value
+            assert lab.psi0_sub(z) == lab.add_roots[tr]
+
+    def test_not_in_subfield_names_the_index(self):
+        # the message gives the index the CLI prints, not the packed int
+        ctx = make_field(2, 4)
+        z = ctx.from_index(2)          # x, of degree 4 over GF(2)
+        assert z != 2
+        with pytest.raises(NotInSubfield,
+                           match=r"^element index 2 not fixed by Frobenius\^2$"):
+            _lab(ctx, 2).psi0_sub(z)
 
     @pytest.mark.parametrize("q,m", [(2, 5), (3, 3), (5, 2), (7, 1), (2, 4)])
     def test_unit_rule_matches_zero_pole_set(self, q, m):

@@ -18,7 +18,7 @@ from primpair.errors import (
     ZeroElement,
 )
 from primpair.ffield import FieldElement, _base_irreducible, make_field
-from primpair.ntheory import euler_phi, factorize
+from primpair.ntheory import FactorEffort, euler_phi, factorize
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +38,14 @@ def gf125():
 
 def _elements(ctx, idxs):
     return [ctx.from_index(i % ctx.Q) for i in idxs]
+
+
+def _coeffs(ctx, x):
+    """Coordinates of x over GF(q), lowest degree first: its index's digits.
+    The round trip fails on a packed int with a slot outside [0, q)."""
+    idx = ctx.to_index(x)
+    assert ctx.from_index(idx) == x
+    return tuple(idx // ctx.q ** i % ctx.q for i in range(ctx.m))
 
 
 class TestConstruction:
@@ -102,6 +110,48 @@ class TestArithmetic:
                 assert lhs == rhs
 
 
+class TestPackedElements:
+    """Elements are packed ints: additive arithmetic against digit-wise
+    arithmetic on the index digits, and FieldElement out of every method."""
+
+    # m = 1 takes x + (q-1)*y up to q*(q-1) in one slot, more than m*(q-1)^2
+    @pytest.mark.parametrize("q", [2, 3, 257, 65537])
+    @pytest.mark.parametrize("m", [1, 2, 13, 23])
+    def test_add_sub_neg_digitwise(self, q, m):
+        # additive arithmetic does not read the factorization of Q - 1
+        ctx = make_field(q, m, table_cap=1,
+                         effort=FactorEffort(trial_bound=10, rho_iterations=1))
+        rng = random.Random(q * m)
+        els = [ctx.zero, ctx.from_index(ctx.Q - 1)]
+        els += [ctx.from_index(rng.randrange(ctx.Q)) for _ in range(10)]
+        for x in els:
+            cx = _coeffs(ctx, x)
+            assert _coeffs(ctx, ctx.neg(x)) == tuple(-a % q for a in cx)
+            for y in els:
+                cy = _coeffs(ctx, y)
+                assert _coeffs(ctx, ctx.add(x, y)) == tuple(
+                    (a + b) % q for a, b in zip(cx, cy))
+                assert _coeffs(ctx, ctx.sub(x, y)) == tuple(
+                    (a - b) % q for a, b in zip(cx, cy))
+
+    @pytest.mark.parametrize("table_cap", [1, 1 << 20])
+    def test_methods_return_field_elements(self, table_cap):
+        ctx = make_field(3, 4, table_cap=table_cap)
+        x, y = ctx.from_index(37), ctx.from_index(11)
+        out = [
+            ctx.add(x, y), ctx.sub(x, y), ctx.neg(x),
+            ctx.mul(x, y), ctx.mul(x, ctx.zero),
+            ctx.pow(x, 5), ctx.pow(x, -3), ctx.pow(ctx.zero, 0), ctx.pow(ctx.zero, 2),
+            ctx.inv(x),
+            ctx.trace_rel(x, 1), ctx.trace_rel(x, 2), ctx.trace_rel(x, 4),
+            ctx.trace_rel(ctx.zero, 1),
+            ctx.from_index(0), ctx.from_index(80), next(ctx.elements()),
+            *ctx.subfield_elements(2),
+            ctx.zero, ctx.one, ctx.generator,
+        ]
+        assert [type(v) for v in out] == [FieldElement] * len(out)
+
+
 # make_field(q, m) at the default seed: (modulus, generator), lowest degree
 # first.  Every discrete log, and so every charsum output, depends on both.
 PINNED_FIELDS = {
@@ -124,7 +174,7 @@ PINNED_FIELDS = {
 @pytest.mark.parametrize("q,m", sorted(PINNED_FIELDS))
 def test_modulus_and_generator_pinned(q, m):
     ctx = make_field(q, m)
-    assert (ctx.modulus, ctx.generator.coeffs) == PINNED_FIELDS[(q, m)]
+    assert (ctx.modulus, _coeffs(ctx, ctx.generator)) == PINNED_FIELDS[(q, m)]
 
 
 _X = sympy.Symbol("x")
@@ -137,7 +187,7 @@ def _sympy_poly(coeffs, q):
 def _sympy_mulmod(ctx, x, y):
     """x*y reduced mod the field's modulus, computed by sympy."""
     q = ctx.q
-    rem = (_sympy_poly(x.coeffs, q) * _sympy_poly(y.coeffs, q)).rem(
+    rem = (_sympy_poly(_coeffs(ctx, x), q) * _sympy_poly(_coeffs(ctx, y), q)).rem(
         _sympy_poly(ctx.modulus, q))
     out = [int(c) % q for c in reversed(rem.all_coeffs())]
     return tuple(out + [0] * (ctx.m - len(out)))
@@ -153,11 +203,11 @@ class TestProductOracle:
     def test_products_match_sympy(self, q, m):
         ctx = make_field(q, m, table_cap=1)
         rng = random.Random(100 * q + m)
-        top = FieldElement((q - 1,) * m)      # the largest value in every slot
+        top = ctx.from_index(ctx.Q - 1)       # the largest value in every slot
         rand = [ctx.from_index(rng.randrange(ctx.Q)) for _ in range(40)]
         pairs = [(top, top)] + [(top, x) for x in rand[:4]] + list(zip(rand[::2], rand[1::2]))
         for x, y in pairs:
-            assert ctx.mul(x, y).coeffs == _sympy_mulmod(ctx, x, y)
+            assert _coeffs(ctx, ctx.mul(x, y)) == _sympy_mulmod(ctx, x, y)
 
     @pytest.mark.parametrize("q,m", [(2, 22), (3, 13)])
     def test_inverse_of_random_units(self, q, m):
@@ -170,8 +220,8 @@ class TestProductOracle:
         # the inverse itself, as x^(Q-2) by sympy, on a few of them
         for _ in range(5):
             x = ctx.from_index(rng.randrange(1, ctx.Q))
-            ref = gf_pow_mod(list(reversed(x.coeffs)), ctx.Q - 2, f, q, sympy.ZZ)
-            assert ctx.inv(x).coeffs == tuple(reversed([0] * (m - len(ref)) + ref))
+            ref = gf_pow_mod(list(reversed(_coeffs(ctx, x))), ctx.Q - 2, f, q, sympy.ZZ)
+            assert _coeffs(ctx, ctx.inv(x)) == tuple(reversed([0] * (m - len(ref)) + ref))
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_rabin_matches_sympy(self, q):
@@ -247,7 +297,7 @@ def _frobenius_reference(ctx, eps, r):
 
 
 class TestTrace:
-    @pytest.mark.parametrize("q,m", [(2, 6), (3, 4)])
+    @pytest.mark.parametrize("q,m", [(2, 6), (3, 4), (3, 6), (5, 4)])
     @pytest.mark.parametrize("table_cap", [1, 1 << 20])
     def test_matches_frobenius_sum_everywhere(self, q, m, table_cap):
         ctx = make_field(q, m, table_cap=table_cap)
@@ -256,11 +306,12 @@ class TestTrace:
                 ref = _frobenius_reference(ctx, x, r)
                 assert ctx.trace_rel(x, r) == ref
                 if r == 1:
-                    assert ctx.abs_trace_int(x) == ref.coeffs[0]
+                    assert ctx.trace_rel(x, 1) == _coeffs(ctx, ref)[0]
 
-    @pytest.mark.parametrize("m,degrees", [(22, (1, 2, 11)), (23, (1,))])
-    def test_matches_frobenius_sum_untabled(self, m, degrees):
-        ctx = make_field(2, m)
+    @pytest.mark.parametrize("q,m,degrees", [(2, 22, (1, 2, 11)), (2, 23, (1,)),
+                                             (3, 13, (1,)), (65537, 2, (1,))])
+    def test_matches_frobenius_sum_untabled(self, q, m, degrees):
+        ctx = make_field(q, m)
         rng = random.Random(m)
         for r in degrees:
             for _ in range(200):
@@ -270,7 +321,7 @@ class TestTrace:
     def test_basis_traces_die_with_field(self):
         ctx = make_field(2, 6)
         ctx.trace_rel(ctx.one, 2)
-        ctx.abs_trace_int(ctx.one)
+        ctx.trace_rel(ctx.one, 1)
         assert sorted(ctx.basis_traces) == [1, 2]
         ref = weakref.ref(ctx)
         del ctx
@@ -281,19 +332,19 @@ class TestTrace:
         for i in range(0, 128, 5):
             for j in range(0, 128, 9):
                 x, y = gf128.from_index(i), gf128.from_index(j)
-                s = (gf128.abs_trace_int(x) + gf128.abs_trace_int(y)) % 2
-                assert gf128.abs_trace_int(gf128.add(x, y)) == s
+                s = (gf128.trace_rel(x, 1) + gf128.trace_rel(y, 1)) % 2
+                assert gf128.trace_rel(gf128.add(x, y), 1) == s
 
     def test_trace_balanced(self, gf128):
         # each value of the absolute trace is hit Q/q times
         from collections import Counter
-        c = Counter(gf128.abs_trace_int(x) for x in gf128.elements())
+        c = Counter(gf128.trace_rel(x, 1) for x in gf128.elements())
         assert c == {0: 64, 1: 64}
 
     def test_trace_frobenius_invariant(self, gf81):
         for i in range(81):
             x = gf81.from_index(i)
-            assert gf81.abs_trace_int(x) == gf81.abs_trace_int(gf81.pow(x, 3))
+            assert gf81.trace_rel(x, 1) == gf81.trace_rel(gf81.pow(x, 3), 1)
 
     def test_relative_trace_lands_in_subfield(self):
         ctx = make_field(2, 6)
@@ -322,17 +373,17 @@ class TestSubfield:
         ctx = make_field(2, 6)
         sub = ctx.subfield_elements(2)
         assert len(sub) == 4
-        assert len({x.coeffs for x in sub}) == 4
-        subset = {x.coeffs for x in sub}
+        assert len({_coeffs(ctx, x) for x in sub}) == 4
+        subset = {_coeffs(ctx, x) for x in sub}
         for x in sub:
             for y in sub:
-                assert ctx.add(x, y).coeffs in subset
-                assert ctx.mul(x, y).coeffs in subset
+                assert _coeffs(ctx, ctx.add(x, y)) in subset
+                assert _coeffs(ctx, ctx.mul(x, y)) in subset
 
     def test_subfield_matches_fixed_points(self):
         ctx = make_field(3, 4)
-        sub = {x.coeffs for x in ctx.subfield_elements(2)}
-        fixed = {x.coeffs for x in ctx.elements() if ctx.in_subfield(x, 2)}
+        sub = {_coeffs(ctx, x) for x in ctx.subfield_elements(2)}
+        fixed = {_coeffs(ctx, x) for x in ctx.elements() if ctx.in_subfield(x, 2)}
         assert sub == fixed
 
     def test_order_deterministic(self):
