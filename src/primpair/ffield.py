@@ -127,14 +127,10 @@ class _Kernel:
         return v - self.q * (((v * self.recip) >> self.s) & self.qmask)
 
     def mulmod(self, a: int, b: int) -> int:
-        q, recip, s, qmask = self.q, self.recip, self.s, self.qmask
-        shift, low = self.shift, self.low
-        p = a * b
-        p -= q * (((p * recip) >> s) & qmask)
-        t = (p >> shift) * self.mu
-        t -= q * (((t * recip) >> s) & qmask)
-        r = (p & low) + (((t >> shift) * self.fneg) & low)
-        return r - q * (((r * recip) >> s) & qmask)
+        shift, low, reduce = self.shift, self.low, self.reduce
+        p = reduce(a * b)
+        t = reduce((p >> shift) * self.mu)
+        return reduce((p & low) + (((t >> shift) * self.fneg) & low))
 
     def powmod(self, a: int, e: int) -> int:
         """a^e for e >= 0, left-to-right square-and-multiply."""
