@@ -124,6 +124,8 @@ def check_thm34(p: int, t: int, n: int, facts: Factorization,
     facts.require_complete()
     all_primes = set(facts.primes())
     k_primes = tuple(sorted(k_primes))
+    if len(set(k_primes)) != len(k_primes):
+        raise ValueError("k primes must be distinct")
     for q in k_primes:
         if q not in all_primes:
             raise NotADivisor(f"{q} does not divide {p}^{t} - 1")

@@ -14,6 +14,7 @@ import argparse
 import json
 import random
 import sys
+from importlib import resources
 
 from .bounds import (
     TABLE1_WINDOWS,
@@ -51,6 +52,7 @@ from .ratfunc import (
 )
 from .survey import (
     _frac,
+    _split_prime_power,
     record_to_dict,
     reproduce_appendix,
     witness_search,
@@ -93,7 +95,6 @@ def _cache(args) -> FactorCache | None:
 
 
 def _default_cache_path() -> str:
-    from importlib import resources
     ref = resources.files("primpair.data").joinpath("factor_cache.txt")
     try:
         return str(ref)
@@ -105,6 +106,7 @@ def _default_cache_path() -> str:
 # subcommands
 
 def _cmd_check_bound(args) -> int:
+    _split_prime_power(args.p)   # p must be a prime power
     facts = factor_prime_power_order(args.p, args.t, effort=_effort(args),
                                      cache=_cache(args))
     rep = check_thm31(args.p, args.t, args.n, facts)
@@ -120,6 +122,7 @@ def _cmd_check_bound(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
+    _split_prime_power(args.p)   # p must be a prime power
     facts = factor_prime_power_order(args.p, args.t, effort=_effort(args),
                                      cache=_cache(args))
     if not facts.complete:

@@ -1,4 +1,5 @@
-"""GF(q^m) in polynomial basis: arithmetic, trace, order, primitivity.
+"""GF(q^m) in polynomial basis: arithmetic, trace, order, primitivity, and
+polynomials over the field with the one Rabin irreducibility test.
 
 A tower F_p <= F_{p^t} with p = q^r is flattened into the single extension
 GF(q^{r*t}); the intermediate field is the fixed field of x -> x^(q^r).
@@ -10,10 +11,12 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 
 from .errors import (
     BadSubfieldDegree,
     BudgetExceeded,
+    DegreeZero,
     FactorizationIncomplete,
     NotADivisor,
     ZeroElement,
@@ -26,7 +29,8 @@ from .ntheory import (
     is_prime,
 )
 
-__all__ = ["FieldElement", "FieldCtx", "make_field"]
+__all__ = ["FieldElement", "FieldCtx", "Poly", "is_irreducible", "make_field",
+           "poly_eval", "poly_gcd"]
 
 DEFAULT_TABLE_CAP = 1 << 20
 
@@ -39,37 +43,6 @@ class FieldElement(int):
 
     def is_zero(self) -> bool:
         return not self
-
-
-# -- dense polynomial helpers over GF(q), little-endian int lists -----------
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pdivmod(a, f, q):
-    """Quotient and remainder of a by a monic f over GF(q), both trimmed."""
-    rem = [c % q for c in a]
-    m = len(f) - 1
-    quot = [0] * max(len(rem) - m, 0)
-    for shift in range(len(rem) - len(f), -1, -1):
-        c = rem[shift + m]
-        if c:
-            quot[shift] = c
-            for i, fi in enumerate(f):
-                rem[shift + i] = (rem[shift + i] - c * fi) % q
-    return _ptrim(quot), _ptrim(rem[:m])
-
-
-def _pgcd(a, b, q):
-    a, b = list(a), list(b)
-    while b:
-        b_monic = [c * pow(b[-1], -1, q) % q for c in b]
-        a = _pdivmod(a, b_monic, q)[1]
-        a, b = b, a
-    return a
 
 
 class _Kernel:
@@ -104,7 +77,11 @@ class _Kernel:
         self.qmask = sum(((1 << (w - self.s)) - 1) << (i * w) for i in range(2 * m - 1))
         self.shift = m * w
         self.low = (1 << self.shift) - 1
-        self.mu = self.pack(_pdivmod([0] * (2 * m) + [1], f, q)[0])
+        # mu reversed is 1 / (f reversed) mod x^(m+1), a power series mod q
+        h = [1]
+        for k in range(1, m + 1):
+            h.append(-sum(f[m - j] * h[k - j] for j in range(1, k + 1)) % q)
+        self.mu = self.pack(h[::-1])
         self.fneg = self.pack([-fi % q for fi in f[:m]])
 
     def pack(self, coeffs) -> int:
@@ -142,24 +119,143 @@ class _Kernel:
         return r
 
 
-def _base_irreducible(f, q):
-    """Rabin test for a monic polynomial over GF(q)."""
-    m = len(f) - 1
-    if m < 1:
-        return False
-    if m == 1:
+# -- polynomials over a field, coefficients lowest degree first -------------
+
+@dataclass(frozen=True)
+class Poly:
+    """Coefficients lowest degree first; empty tuple is the zero polynomial."""
+
+    coeffs: tuple[FieldElement, ...]
+
+    def __post_init__(self):
+        if self.coeffs and self.coeffs[-1].is_zero():
+            raise ValueError("leading coefficient must be nonzero")
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def is_monic(self, ctx: FieldCtx) -> bool:
+        return bool(self.coeffs) and self.coeffs[-1] == ctx.one
+
+
+def make_poly(ctx: FieldCtx, coeffs) -> Poly:
+    cs = list(coeffs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return Poly(tuple(cs))
+
+
+def poly_one(ctx: FieldCtx) -> Poly:
+    return Poly((ctx.one,))
+
+
+def poly_x(ctx: FieldCtx) -> Poly:
+    return Poly((ctx.zero, ctx.one))
+
+
+def poly_eval(ctx: FieldCtx, poly: Poly, x: FieldElement) -> FieldElement:
+    acc = ctx.zero
+    for c in reversed(poly.coeffs):
+        acc = ctx.add(ctx.mul(acc, x), c)
+    return acc
+
+
+def poly_add(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
+    n = max(len(a.coeffs), len(b.coeffs))
+    out = []
+    for i in range(n):
+        x = a.coeffs[i] if i < len(a.coeffs) else ctx.zero
+        y = b.coeffs[i] if i < len(b.coeffs) else ctx.zero
+        out.append(ctx.add(x, y))
+    return make_poly(ctx, out)
+
+
+def poly_scale(ctx: FieldCtx, a: Poly, c: FieldElement) -> Poly:
+    if c.is_zero():
+        return Poly(())
+    return make_poly(ctx, [ctx.mul(x, c) for x in a.coeffs])
+
+
+def poly_mul(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
+    if a.is_zero() or b.is_zero():
+        return Poly(())
+    out = [ctx.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
+    return make_poly(ctx, out)
+
+
+def poly_mod(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
+    if b.is_zero():
+        raise ZeroDivisionError("poly mod zero")
+    rem = list(a.coeffs)
+    inv_lead = ctx.inv(b.coeffs[-1])
+    while len(rem) >= len(b.coeffs):
+        c = ctx.mul(rem[-1], inv_lead)
+        shift = len(rem) - len(b.coeffs)
+        if not c.is_zero():
+            for i, bi in enumerate(b.coeffs):
+                rem[shift + i] = ctx.sub(rem[shift + i], ctx.mul(c, bi))
+        rem.pop()
+        while rem and rem[-1].is_zero():
+            rem.pop()
+    return Poly(tuple(rem))
+
+
+def poly_gcd(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
+    while not b.is_zero():
+        a, b = b, poly_mod(ctx, a, b)
+    if a.is_zero():
+        return a
+    return poly_scale(ctx, a, ctx.inv(a.coeffs[-1]))   # monic normalization
+
+
+def _poly_powmod(ctx: FieldCtx, base: Poly, e: int, mod: Poly) -> Poly:
+    result = poly_one(ctx)
+    base = poly_mod(ctx, base, mod)
+    while e:
+        if e & 1:
+            result = poly_mod(ctx, poly_mul(ctx, result, base), mod)
+        base = poly_mod(ctx, poly_mul(ctx, base, base), mod)
+        e >>= 1
+    return result
+
+
+def is_irreducible(ctx: FieldCtx, poly: Poly) -> bool:
+    """Rabin irreducibility test over GF(Q), Q = ctx.Q (von zur Gathen &
+    Gerhard, Modern Computer Algebra, 14.9).  Over a prime field the
+    coefficients are ints mod q, so x^e mod poly is a packed power in a
+    _Kernel built on poly."""
+    d = poly.degree
+    if d < 1:
+        raise DegreeZero("irreducibility undefined for constants")
+    if d == 1:
         return True
-    kernel = _Kernel(f, q)
-    x = kernel.pack((0, 1))
+    poly = poly_scale(ctx, poly, ctx.inv(poly.coeffs[-1]))
+    if ctx.m == 1:
+        kernel = _Kernel(poly.coeffs, ctx.q)
+        x = kernel.pack((0, 1))
 
-    def x_power_minus_x(e):
-        h = kernel.reduce(kernel.powmod(x, e) + (q - 1) * x)
-        return _ptrim(list(kernel.unpack(h)))
+        def x_power_minus_x(e):
+            h = kernel.reduce(kernel.powmod(x, e) + (ctx.q - 1) * x)
+            return make_poly(ctx, map(FieldElement, kernel.unpack(h)))
+    else:
+        x = poly_x(ctx)
+        minus_x = poly_scale(ctx, x, ctx.neg(ctx.one))
 
-    for ell in {p for p in range(2, m + 1) if m % p == 0 and is_prime(p)}:
-        if len(_pgcd(f, x_power_minus_x(q ** (m // ell)), q)) != 1:
+        def x_power_minus_x(e):
+            return poly_add(ctx, _poly_powmod(ctx, x, e, poly), minus_x)
+    for ell in {p for p in range(2, d + 1) if d % p == 0 and is_prime(p)}:
+        if poly_gcd(ctx, poly, x_power_minus_x(ctx.Q ** (d // ell))).degree != 0:
             return False
-    return not x_power_minus_x(q ** m)
+    return x_power_minus_x(ctx.Q ** d).is_zero()
 
 
 class FieldCtx:
@@ -398,10 +494,12 @@ def make_field(q: int, m: int, seed: int = 0, *,
     if m == 1:
         modulus = (0, 1)          # x; degree-0 elements never need reduction
     else:
+        # the prime field, with no O(q) log table and not the caller's cache
+        base = make_field(q, 1, table_cap=0)
         rng = random.Random(("modulus", q, m, seed).__repr__())
         while True:
             cand = [rng.randrange(q) for _ in range(m)] + [1]
-            if _base_irreducible(cand, q):
+            if is_irreducible(base, Poly(tuple(map(FieldElement, cand)))):
                 modulus = tuple(cand)
                 break
     facts = factor_prime_power_order(q, m, effort=effort, cache=cache)

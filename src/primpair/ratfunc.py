@@ -1,4 +1,4 @@
-"""Polynomials and rational functions num/den over GF(q^m).
+"""Rational functions num/den over GF(q^m), on ffield's polynomials.
 
 A RationalFunction is canonicalized as scale * (monic num / monic den) with
 num, den irreducible and coprime.  Degree-0 numerators or denominators (the
@@ -11,9 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import DegreeZero, EmptyClass, EnumerationTooLarge
-from .ffield import FieldCtx, FieldElement
-from .ntheory import is_prime, mobius
+from .errors import EmptyClass, EnumerationTooLarge
+from .ffield import (
+    FieldCtx,
+    FieldElement,
+    Poly,
+    is_irreducible,
+    poly_eval,
+    poly_gcd,
+    poly_one,
+)
+from .ntheory import mobius
 
 __all__ = [
     "Poly",
@@ -31,27 +39,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Poly:
-    """Coefficients lowest degree first; empty tuple is the zero polynomial."""
-
-    coeffs: tuple[FieldElement, ...]
-
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1].is_zero():
-            raise ValueError("leading coefficient must be nonzero")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_monic(self, ctx: FieldCtx) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == ctx.one
-
-
 class Pole:
     """Marker for evaluation at a pole; a value, not an error."""
 
@@ -67,112 +54,6 @@ class Pole:
 
 
 POLE = Pole()
-
-
-def make_poly(ctx: FieldCtx, coeffs) -> Poly:
-    cs = list(coeffs)
-    while cs and cs[-1].is_zero():
-        cs.pop()
-    return Poly(tuple(cs))
-
-
-def poly_one(ctx: FieldCtx) -> Poly:
-    return Poly((ctx.one,))
-
-
-def poly_x(ctx: FieldCtx) -> Poly:
-    return Poly((ctx.zero, ctx.one))
-
-
-def poly_eval(ctx: FieldCtx, poly: Poly, x: FieldElement) -> FieldElement:
-    acc = ctx.zero
-    for c in reversed(poly.coeffs):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc
-
-
-def poly_add(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
-    n = max(len(a.coeffs), len(b.coeffs))
-    out = []
-    for i in range(n):
-        x = a.coeffs[i] if i < len(a.coeffs) else ctx.zero
-        y = b.coeffs[i] if i < len(b.coeffs) else ctx.zero
-        out.append(ctx.add(x, y))
-    return make_poly(ctx, out)
-
-
-def poly_scale(ctx: FieldCtx, a: Poly, c: FieldElement) -> Poly:
-    if c.is_zero():
-        return Poly(())
-    return make_poly(ctx, [ctx.mul(x, c) for x in a.coeffs])
-
-
-def poly_mul(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly(())
-    out = [ctx.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b.coeffs):
-            out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
-    return make_poly(ctx, out)
-
-
-def poly_mod(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
-    if b.is_zero():
-        raise ZeroDivisionError("poly mod zero")
-    rem = list(a.coeffs)
-    inv_lead = ctx.inv(b.coeffs[-1])
-    while len(rem) >= len(b.coeffs):
-        c = ctx.mul(rem[-1], inv_lead)
-        shift = len(rem) - len(b.coeffs)
-        if not c.is_zero():
-            for i, bi in enumerate(b.coeffs):
-                rem[shift + i] = ctx.sub(rem[shift + i], ctx.mul(c, bi))
-        rem.pop()
-        while rem and rem[-1].is_zero():
-            rem.pop()
-    return Poly(tuple(rem))
-
-
-def poly_gcd(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, poly_mod(ctx, a, b)
-    if a.is_zero():
-        return a
-    return poly_scale(ctx, a, ctx.inv(a.coeffs[-1]))   # monic normalization
-
-
-def _poly_powmod(ctx: FieldCtx, base: Poly, e: int, mod: Poly) -> Poly:
-    result = poly_one(ctx)
-    base = poly_mod(ctx, base, mod)
-    while e:
-        if e & 1:
-            result = poly_mod(ctx, poly_mul(ctx, result, base), mod)
-        base = poly_mod(ctx, poly_mul(ctx, base, base), mod)
-        e >>= 1
-    return result
-
-
-def is_irreducible(ctx: FieldCtx, poly: Poly) -> bool:
-    """Rabin irreducibility test over GF(Q), Q = ctx.Q."""
-    d = poly.degree
-    if d < 1:
-        raise DegreeZero("irreducibility undefined for constants")
-    if d == 1:
-        return True
-    Q = ctx.Q
-    x = poly_x(ctx)
-    prime_divs = {p for p in range(2, d + 1) if d % p == 0 and is_prime(p)}
-    for ell in prime_divs:
-        h = _poly_powmod(ctx, x, Q ** (d // ell), poly)
-        diff = poly_add(ctx, h, poly_scale(ctx, x, ctx.neg(ctx.one)))
-        if poly_gcd(ctx, poly, diff).degree != 0:
-            return False
-    h = _poly_powmod(ctx, x, Q ** d, poly)
-    diff = poly_add(ctx, h, poly_scale(ctx, x, ctx.neg(ctx.one)))
-    return diff.is_zero()
 
 
 def num_monic_irreducible(Q: int, n: int) -> int:

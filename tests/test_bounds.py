@@ -123,6 +123,12 @@ class TestCheckThm34:
         with pytest.raises(NotADivisor):
             check_thm34(2, 22, 2, facts, [3, 5])
 
+    def test_repeated_k_prime(self):
+        # W(k) counts the distinct primes of k; a repeat would double it
+        facts = factor_prime_power_order(3, 8)
+        with pytest.raises(ValueError):
+            check_thm34(3, 8, 2, facts, [2, 2])
+
     def test_all_primes_equals_thm31(self):
         for p, t in [(2, 9), (3, 7), (5, 8), (8, 9), (13, 7)]:
             facts = factor_prime_power_order(p, t)

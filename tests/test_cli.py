@@ -36,6 +36,10 @@ class TestCheckBound:
         assert code == 3
         assert json.loads(out)["verdict"] == "Unknown"
 
+    def test_rejects_non_prime_power(self, capsys):
+        code, out = run(capsys, "--cache", "", "check-bound", "--p", "6", "--t", "7")
+        assert (code, out) == (2, "")
+
     def test_config_embedded(self, capsys):
         _, out = run(capsys, "--seed", "42", "check-bound", "--p", "2", "--t", "7")
         payload = json.loads(out)
@@ -61,6 +65,14 @@ class TestSieve:
         code, _ = run(capsys, "sieve", "--p", "2", "--t", "22",
                       "--k-primes", "3", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("--p", "6", "--t", "7"),
+        ("--p", "3", "--t", "8", "--k-primes", "2", "2"),   # repeated k prime
+    ])
+    def test_bad_input_exits_two(self, capsys, argv):
+        code, out = run(capsys, "--cache", "", "sieve", *argv)
+        assert (code, out) == (2, "")
 
 
 class TestTable1:

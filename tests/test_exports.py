@@ -1,5 +1,5 @@
 """Every name a primpair module exports resolves, every name it imports is
-used, and no check is an `assert`."""
+used, every import is at module level, and no check is an `assert`."""
 
 import ast
 import importlib
@@ -41,4 +41,16 @@ def test_no_assert_statements(name):
     # python -O strips assert statements; a check must raise explicitly
     tree = ast.parse(inspect.getsource(importlib.import_module(name)))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_imports_inside_functions(name):
+    # a deferred import would hide an import cycle between modules
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    lines = [node.lineno
+             for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert lines == []

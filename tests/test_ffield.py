@@ -17,8 +17,8 @@ from primpair.errors import (
     NotADivisor,
     ZeroElement,
 )
-from primpair.ffield import FieldElement, _base_irreducible, make_field
-from primpair.ntheory import FactorEffort, euler_phi, factorize
+from primpair.ffield import FieldElement, Poly, _Kernel, is_irreducible, make_field
+from primpair.ntheory import FactorCache, FactorEffort, euler_phi, factorize
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +177,17 @@ def test_modulus_and_generator_pinned(q, m):
     assert (ctx.modulus, _coeffs(ctx, ctx.generator)) == PINNED_FIELDS[(q, m)]
 
 
+def test_factor_cache_lines_pinned(tmp_path):
+    # the cache holds 3^7 - 1 and its cyclotomic parts, nothing else
+    path = tmp_path / "cache.txt"
+    make_field(3, 7, cache=FactorCache(path))
+    assert path.read_text().splitlines() == [
+        "n=2 factors=2^1 cofactor=1 status=C",
+        "n=1093 factors=1093^1 cofactor=1 status=C",
+        "n=2186 factors=2^1,1093^1 cofactor=1 status=C",
+    ]
+
+
 _X = sympy.Symbol("x")
 
 
@@ -225,15 +236,27 @@ class TestProductOracle:
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_rabin_matches_sympy(self, q):
+        base = make_field(q, 1)
         rng = random.Random(q)
         seen = set()
         for deg in range(1, 13):
             for _ in range(25):
                 f = [rng.randrange(q) for _ in range(deg)] + [1]
                 expected = _sympy_poly(f, q).is_irreducible
-                assert _base_irreducible(f, q) == expected, f
+                assert is_irreducible(base, Poly(tuple(map(FieldElement, f)))) == expected, f
                 seen.add(expected)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("q", [2, 3, 257])
+    def test_barrett_constant_matches_sympy(self, q):
+        # mu = x^(2m) div f, the quotient a polynomial division would give
+        rng = random.Random(q)
+        for m in range(1, 24):
+            for _ in range(3):
+                f = [rng.randrange(q) for _ in range(m)] + [1]
+                quot = _sympy_poly([0] * (2 * m) + [1], q).quo(_sympy_poly(f, q))
+                kernel = _Kernel(f, q)
+                assert kernel.mu == kernel.pack([int(c) % q for c in reversed(quot.all_coeffs())]), f
 
 
 class TestMultiplicativeStructure:

@@ -87,20 +87,26 @@ class TestIrreducibility:
             poly = sympy.Poly(list(reversed(coeffs)), x, modulus=7)
             theirs = poly.is_irreducible
             assert ours == theirs, coeffs
+            # a nonzero multiple has the same factors
+            scaled = _poly(gf7, *(3 * c % 7 for c in coeffs))
+            assert is_irreducible(gf7, scaled) == theirs, coeffs
 
     def test_counts_match_necklace_formula(self, gf4):
-        for n in (1, 2, 3):
-            count = 0
-            for idx in range(4 ** n):
-                coeffs = []
-                rem = idx
-                for _ in range(n):
-                    coeffs.append(gf4.from_index(rem % 4))
-                    rem //= 4
-                cand = Poly(tuple(coeffs) + (gf4.one,))
-                if is_irreducible(gf4, cand):
-                    count += 1
-            assert count == num_monic_irreducible(4, n)
+        # GF(4), GF(8) and GF(9) are not prime fields: the schoolbook branch
+        for ctx in (gf4, make_field(2, 3), make_field(3, 2)):
+            Q = ctx.Q
+            for n in (1, 2, 3):
+                count = 0
+                for idx in range(Q ** n):
+                    coeffs = []
+                    rem = idx
+                    for _ in range(n):
+                        coeffs.append(ctx.from_index(rem % Q))
+                        rem //= Q
+                    cand = Poly(tuple(coeffs) + (ctx.one,))
+                    if is_irreducible(ctx, cand):
+                        count += 1
+                assert count == num_monic_irreducible(Q, n), (Q, n)
 
     def test_necklace_values(self):
         # classic values over GF(2): 2, 1, 2, 3, 6, 9 for degrees 1..6
