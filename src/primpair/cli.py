@@ -14,7 +14,6 @@ import argparse
 import json
 import random
 import sys
-from importlib import resources
 
 from .bounds import (
     TABLE1_WINDOWS,
@@ -92,14 +91,6 @@ def _effort(args) -> FactorEffort:
 
 def _cache(args) -> FactorCache | None:
     return FactorCache(args.cache) if args.cache else None
-
-
-def _default_cache_path() -> str:
-    ref = resources.files("primpair.data").joinpath("factor_cache.txt")
-    try:
-        return str(ref)
-    except TypeError:
-        return ""
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=5_000_000,
                         help="factorization iteration budget")
-    parser.add_argument("--cache", default=_default_cache_path(),
-                        help="factor cache path; empty for none")
+    parser.add_argument("--cache", default="",
+                        help="factor cache path; none by default")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     s = sub.add_parser("check-bound", help="sufficient-condition verdict")

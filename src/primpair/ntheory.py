@@ -8,12 +8,14 @@ explicit Complete/Partial status instead of silently guessing.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import random
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from importlib import resources
 from typing import Iterator
 
 from .errors import PartialFactorization
@@ -185,12 +187,15 @@ class FactorCache:
     """Append-only on-disk cache of factorizations, keyed by n.
 
     Line format: ``n=<dec> factors=<p1^e1,...> cofactor=<dec> status=<C|P>``.
-    Corrupt lines are skipped.  Writes are serialized by a lock.
+    Loading only indexes the lines by their leading n field; ``get`` parses
+    the lines of one n on first use, skipping corrupt ones.  Writes are
+    serialized by a lock.
     """
 
     def __init__(self, path):
         self.path = path
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
+        self._raw: dict[int, list[str]] = {}
         self._mem: dict[int, Factorization] = {}
         self._load()
 
@@ -201,24 +206,37 @@ class FactorCache:
         except FileNotFoundError:
             return
         for line in lines:
-            fac = _parse_cache_line(line)
-            if fac is not None:
-                # keep the better of duplicate entries
-                old = self._mem.get(fac.n)
-                if old is None or (fac.complete and not old.complete):
-                    self._mem[fac.n] = fac
+            head = line.split(None, 1)
+            if head and head[0].startswith("n="):
+                try:
+                    n = int(head[0][2:])
+                except ValueError:
+                    continue
+                self._raw.setdefault(n, []).append(line)
 
     def get(self, n: int) -> Factorization | None:
+        if n in self._raw:
+            with self._lock:
+                for line in self._raw.pop(n, ()):
+                    fac = _parse_cache_line(line)
+                    if fac is not None:
+                        self._keep(fac)
         return self._mem.get(n)
+
+    def _keep(self, fac: Factorization) -> bool:
+        """Hold ``fac`` unless an entry at least as good is held already."""
+        old = self._mem.get(fac.n)
+        if old is not None and (old.complete or not fac.complete):
+            return False
+        self._mem[fac.n] = fac
+        return True
 
     def put(self, fac: Factorization) -> None:
         with self._lock:
-            old = self._mem.get(fac.n)
-            if old is not None and (old.complete or not fac.complete):
-                return
-            self._mem[fac.n] = fac
-            with open(self.path, "a") as fh:
-                fh.write(_format_cache_line(fac) + "\n")
+            self.get(fac.n)
+            if self._keep(fac):
+                with open(self.path, "a") as fh:
+                    fh.write(_format_cache_line(fac) + "\n")
 
 
 def _format_cache_line(fac: Factorization) -> str:
@@ -281,10 +299,51 @@ def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int
     return None, used
 
 
+# A cyclotomic part Phi_d(p) of p^t - 1 has only prime factors that divide d
+# or are 1 mod d.  Past this bound its trial division walks those alone.
+_PROGRESSION_FROM = 1 << 16
+
+# d -> (the sieve list it was cut from, its primes > _PROGRESSION_FROM that
+# are 1 mod d).  Built when a walk first passes the bound, and rebuilt when
+# the sieve has grown, so a short list is never reused.
+_progressions: dict[int, tuple[list[int], list[int]]] = {}
+
+
+def _trial_primes(bound: int, d: int):
+    """The primes a trial division up to ``bound`` tries, in increasing
+    order; for d >= 3 the dividend must be the cyclotomic value Phi_d(p)."""
+    primes = _sieve(bound)
+    if not 3 <= d < _PROGRESSION_FROM or bound <= _PROGRESSION_FROM:
+        return primes
+    return _progression_walk(primes, d)
+
+
+def _progression_walk(primes: list[int], d: int) -> Iterator[int]:
+    cut = bisect.bisect_right(primes, _PROGRESSION_FROM)
+    yield from itertools.islice(primes, cut)
+    with _sieve_lock:
+        entry = _progressions.get(d)
+        if entry is None or entry[0] is not primes:
+            tail = [ell for ell in itertools.islice(primes, cut, None) if ell % d == 1]
+            entry = _progressions[d] = (primes, tail)
+    yield from entry[1]
+
+
+@functools.cache
+def _rho_hints() -> tuple[int, ...]:
+    """Primes above 10^8 that rho had to split off p^t - 1 in the surveys of
+    t = 7..62 (tools/derive_rho_hints.py).  Tried as divisors before
+    rho; a hint is never trusted, its pieces go through is_prime."""
+    text = resources.files("primpair.data").joinpath("rho_hints.txt").read_text()
+    return tuple(map(int, text.split()))
+
+
 def factorize(
     n: int,
     effort: FactorEffort = FactorEffort(),
     cache: FactorCache | None = None,
+    *,
+    _cyclotomic_d: int = 0,
 ) -> Factorization:
     """Factor n >= 1.  Status is Partial only when the rho budget runs out."""
     if n < 1:
@@ -304,14 +363,16 @@ def factorize(
     # trial division, until the cofactor is 1 or prime
     m = n
     m_prime = is_prime(m)
-    for p in _sieve(effort.trial_bound):
-        if m_prime or p > effort.trial_bound or p * p > m:
+    stop = 0 if m_prime else min(effort.trial_bound, math.isqrt(m))
+    for p in _trial_primes(effort.trial_bound, _cyclotomic_d):
+        if p > stop:
             break
         if m % p == 0:
             while m % p == 0:
                 counts[p] = counts.get(p, 0) + 1
                 m //= p
             m_prime = is_prime(m)
+            stop = 0 if m_prime else min(effort.trial_bound, math.isqrt(m))
     if m_prime:
         counts[m] = 1
     elif m > 1:
@@ -335,7 +396,7 @@ def factorize(
                 break
         if handled:
             continue
-        found = None
+        found = next((h for h in _rho_hints() if 1 < h < m and m % h == 0), None)
         while found is None and budget > 0:
             found, used = _brent_rho(m, budget, rng)
             budget -= max(used, 1)
@@ -352,14 +413,11 @@ def factorize(
     return fac
 
 
-def cyclotomic_split(p: int, t: int) -> list[int]:
-    """Values of the d-th cyclotomic polynomial at p, for each divisor d of t.
-
-    Their product is p^t - 1, which makes this a useful pre-split before rho.
-    """
+def _cyclotomic_values(p: int, t: int) -> dict[int, int]:
+    """d -> Phi_d(p) for each divisor d of t, in increasing d."""
     if p < 2 or t < 1:
         raise ValueError("need p >= 2, t >= 1")
-    divs = sorted(d for d in range(1, t + 1) if t % d == 0)
+    divs = [d for d in range(1, t + 1) if t % d == 0]
     values: dict[int, int] = {}
     for d in divs:
         v = p ** d - 1
@@ -367,7 +425,15 @@ def cyclotomic_split(p: int, t: int) -> list[int]:
             if e < d and d % e == 0:
                 v //= values[e]
         values[d] = v
-    return [values[d] for d in divs]
+    return values
+
+
+def cyclotomic_split(p: int, t: int) -> list[int]:
+    """Values of the d-th cyclotomic polynomial at p, for each divisor d of t.
+
+    Their product is p^t - 1, which makes this a useful pre-split before rho.
+    """
+    return list(_cyclotomic_values(p, t).values())
 
 
 def factor_prime_power_order(
@@ -384,8 +450,8 @@ def factor_prime_power_order(
             return hit
     counts: dict[int, int] = {}
     cof = 1
-    for part in cyclotomic_split(p, t):
-        sub = factorize(part, effort=effort, cache=cache)
+    for d, part in _cyclotomic_values(p, t).items():
+        sub = factorize(part, effort=effort, cache=cache, _cyclotomic_d=d)
         for q, e in sub.factors:
             counts[q] = counts.get(q, 0) + e
         cof *= sub.cofactor

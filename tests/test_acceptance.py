@@ -43,13 +43,6 @@ from primpair.survey import (
     reproduce_appendix,
     verify_membership_sample,
 )
-from importlib import resources
-
-
-def _shipped_cache() -> FactorCache:
-    path = resources.files("primpair.data").joinpath("factor_cache.txt")
-    return FactorCache(str(path))
-
 
 # -- criterion 1 ------------------------------------------------------------
 
@@ -183,10 +176,10 @@ class TestCriterion4FastTier:
 
 
 class TestCriterion5ExtendedTier:
-    """t = 7 and t = 8 full ranges; resumable via the shipped factor cache."""
+    """t = 7 and t = 8 full ranges, cold: no factor cache ships."""
 
-    def test_t7(self):
-        diff = reproduce_appendix(7, cache=_shipped_cache())
+    def test_t7(self, tmp_path):
+        diff = reproduce_appendix(7, cache=FactorCache(str(tmp_path / "cache.txt")))
         assert diff.unknown == ()
         assert diff.failing_diff == ((), ())
         assert len(diff.computed_failing) == 253
@@ -196,8 +189,8 @@ class TestCriterion5ExtendedTier:
         missing, extra = diff.exceptions_diff
         assert missing == (14323,) and extra == ()
 
-    def test_t8(self):
-        diff = reproduce_appendix(8, cache=_shipped_cache())
+    def test_t8(self, tmp_path):
+        diff = reproduce_appendix(8, cache=FactorCache(str(tmp_path / "cache.txt")))
         assert diff.unknown == ()
         assert diff.failing_diff == ((), ())
         assert len(diff.computed_failing) == 201
@@ -224,8 +217,8 @@ class TestCriterion6SieveRows:
         (10, 64, 6, 9), (12, 27, 30, 6), (22, 2, 15, 2),
     ]
 
-    def test_rows(self):
-        cache = _shipped_cache()
+    def test_rows(self, tmp_path):
+        cache = FactorCache(str(tmp_path / "cache.txt"))
         rows = [(t, p, k, m) for t, entries in load_published_sieve().items()
                 for p, k, m in entries]
         assert len(rows) == 499

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+import primpair
 from primpair.cli import main
 
 
@@ -12,6 +14,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _package_files() -> dict[str, tuple[int, int]]:
+    """(size, mtime) of every file of the installed package but bytecode."""
+    package = Path(primpair.__file__).parent
+    return {str(f): (f.stat().st_size, f.stat().st_mtime_ns)
+            for f in package.rglob("*")
+            if f.is_file() and "__pycache__" not in f.parts}
 
 
 class TestCheckBound:
@@ -35,6 +45,15 @@ class TestCheckBound:
                         "check-bound", "--p", "2", "--t", "101")
         assert code == 3
         assert json.loads(out)["verdict"] == "Unknown"
+
+    def test_default_flags_write_no_package_file(self, capsys):
+        # by default there is no factor cache, so a cold factorization
+        # leaves the installed package as it was
+        before = _package_files()
+        code, out = run(capsys, "check-bound", "--p", "3", "--t", "101")
+        assert code == 0
+        assert json.loads(out)["config"]["cache_path"] == ""
+        assert _package_files() == before
 
     def test_rejects_non_prime_power(self, capsys):
         code, out = run(capsys, "--cache", "", "check-bound", "--p", "6", "--t", "7")
@@ -241,7 +260,8 @@ class TestCharsumLabBytes:
     @pytest.mark.parametrize("key", sorted(LAB_DIGESTS))
     def test_stdout_digest(self, capsys, key):
         suite, q, m, r, seed = key
-        # an empty --cache keeps the run off the shipped factor cache
+        # --cache "" is the default, passed so the pinned bytes never
+        # depend on it
         code, out = run(capsys, "--seed", str(seed), "--cache", "",
                         "charsum-lab", "--q", str(q), "--m", str(m),
                         "--r", str(r), "--suite", suite, "--samples", "4")

@@ -1,6 +1,8 @@
 """Number-theory layer, checked against sympy as an independent oracle."""
 
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 import sympy
@@ -294,3 +296,205 @@ class TestFactorCache:
         again = factorize(n, effort=FactorEffort(trial_bound=2, rho_iterations=1),
                           cache=cache)
         assert again == first
+
+
+WARM_CACHE = (Path(__file__).resolve().parent.parent
+              / "perfbench" / "data" / "warm_factor_cache.txt")
+
+
+class TestLazyFactorCache:
+    N = 1000003 * 1000033
+    COMPLETE = f"n={N} factors=1000003^1,1000033^1 cofactor=1 status=C\n"
+    PARTIAL = f"n={N} factors= cofactor={N} status=P\n"
+
+    def test_construction_parses_no_line(self, monkeypatch):
+        parsed = []
+        real = ntheory._parse_cache_line
+
+        def counting(line):
+            parsed.append(line)
+            return real(line)
+
+        monkeypatch.setattr(ntheory, "_parse_cache_line", counting)
+        cache = FactorCache(str(WARM_CACHE))
+        assert parsed == []
+        n = 3 ** 7 - 1
+        assert cache.get(n) == factorize(n)
+        assert len(parsed) == 1
+        # memoised: a second get parses nothing
+        assert cache.get(n) == factorize(n)
+        assert cache.get(10 ** 50 + 151) is None
+        assert len(parsed) == 1
+
+    @pytest.mark.parametrize("order", [(PARTIAL, COMPLETE), (COMPLETE, PARTIAL)])
+    def test_complete_beats_partial_duplicate(self, tmp_path, order):
+        path = tmp_path / "cache.txt"
+        path.write_text("".join(order))
+        fac = FactorCache(str(path)).get(self.N)
+        assert fac.complete and fac == factorize(self.N)
+
+    def test_partial_entry_alone(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_text(self.PARTIAL)
+        fac = FactorCache(str(path)).get(self.N)
+        assert not fac.complete and fac.cofactor == self.N
+
+    @pytest.mark.parametrize("corrupt", [
+        "n=15 factors=3^1,5^x cofactor=1 status=C\n",
+        "n=15 factors=3^1,7^1 cofactor=1 status=C\n",    # product is 21
+        "n=15 factors=3^1 status=C\n",
+        "n=15\n",
+        "factors=3^1,5^1 cofactor=1 status=C n=15\n",   # n is not first
+        "n=15 factors=2^4 cofactor=1 status=C n=16\n",   # a line of 16
+    ])
+    def test_corrupt_line_before_valid_duplicate(self, tmp_path, corrupt):
+        path = tmp_path / "cache.txt"
+        path.write_text(corrupt + "\n# comment\nn=x\n"
+                        "n=15 factors=3^1,5^1 cofactor=1 status=C\n")
+        assert FactorCache(str(path)).get(15) == factorize(15)
+
+    def test_put_reads_back_from_a_fresh_cache(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        fac = factor_prime_power_order(2, 67, cache=FactorCache(str(path)))
+        fresh = FactorCache(str(path))
+        assert fresh.get(2 ** 67 - 1) == fac
+        assert fresh.get(2 ** 67 - 1).factors == ((193707721, 1), (761838257287, 1))
+
+    def test_put_goes_through_the_file_entries(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        n = self.N
+        complete = factorize(n)
+        partial = Factorization(n, (), n, FactorStatus.PARTIAL)
+        FactorCache(str(path)).put(partial)
+        # a partial entry on file is upgraded once, a complete one is kept
+        FactorCache(str(path)).put(complete)
+        assert FactorCache(str(path)).get(n) == complete
+        lines = path.read_text().splitlines()
+        FactorCache(str(path)).put(partial)
+        FactorCache(str(path)).put(complete)
+        assert path.read_text().splitlines() == lines
+        assert len(lines) == 2
+
+    def test_concurrent_get_and_put(self, tmp_path):
+        # partial entries on file; eight threads upgrade every n in the same
+        # order, so a check-then-act that is not atomic appends twice
+        path = tmp_path / "cache.txt"
+        facs = {n: factorize(n) for n in range(2, 2000)}
+        path.write_text("".join(f"n={n} factors= cofactor={n} status=P\n" for n in facs))
+        cache = FactorCache(str(path))
+        errors = []
+
+        def worker():
+            try:
+                for n, fac in facs.items():
+                    cache.put(fac)
+                    assert cache.get(n) == fac
+            except AssertionError as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        appended = path.read_text().splitlines()[len(facs):]
+        assert appended == [ntheory._format_cache_line(fac) for fac in facs.values()]
+
+class TestRhoHints:
+    def test_shipped_file(self):
+        hints = ntheory._rho_hints()
+        assert len(hints) == 521
+        assert list(hints) == sorted(set(hints))
+        assert all(h > 10 ** 8 and is_prime(h) and sympy.isprime(h) for h in hints)
+
+    # the composite part left after trial division, and a prime above the
+    # trial bound that divides the rest of n
+    M = 1000003 * 1000033 * 1000037
+
+    @pytest.mark.parametrize("hints", [
+        (),
+        (1000003 * 1000033,),          # composite divisor
+        (1000039, 2 ** 61 - 1),        # not divisors
+        (M,),                          # the cofactor itself
+        (0, 1, M * 2, 1000003 * 1000037, M),
+    ])
+    def test_hints_are_never_trusted(self, monkeypatch, hints):
+        n = 2 * 3 * self.M
+        monkeypatch.setattr(ntheory, "_rho_hints", lambda: hints)
+        fac = factorize(n)
+        assert fac.complete
+        assert dict(fac.factors) == sympy.factorint(n)
+
+    def test_hint_that_divides_is_used_without_rho(self, monkeypatch):
+        monkeypatch.setattr(ntheory, "_rho_hints", lambda: (1000003, 1000033))
+        monkeypatch.setattr(ntheory, "_brent_rho", _no_rho)
+        assert dict(factorize(self.M).factors) == sympy.factorint(self.M)
+
+    @pytest.mark.parametrize("p", [12547, 22273])
+    def test_survey_cold_tail_needs_no_rho(self, monkeypatch, p):
+        monkeypatch.setattr(ntheory, "_brent_rho", _no_rho)
+        fac = factor_prime_power_order(p, 7)
+        assert fac.complete
+        assert dict(fac.factors) == sympy.factorint(p ** 7 - 1)
+
+
+def _no_rho(*args):
+    raise AssertionError("rho was called")
+
+
+class TestCyclotomicProgression:
+    SAMPLES = [
+        (12547, 7), (22273, 7), (10007, 7), (26357, 7), (2, 7),
+        (1013, 8), (1346, 8), (3, 8),
+        (997, 12), (101, 12), (2, 12),
+        (31, 30), (13, 30), (2, 30),
+        (7, 60), (5, 60), (2, 60),
+    ]
+
+    @pytest.mark.parametrize("p,t", SAMPLES)
+    def test_matches_sympy(self, p, t):
+        fac = factor_prime_power_order(p, t)
+        assert fac.complete
+        assert dict(fac.factors) == sympy.factorint(p ** t - 1)
+
+    @staticmethod
+    def _expected_walk(bound, d):
+        return [ell for ell in ntheory._sieve(bound)
+                if ell <= ntheory._PROGRESSION_FROM or ell % d == 1]
+
+    def test_walk_after_the_sieve_grows(self):
+        bound = FactorEffort().trial_bound
+        for d in (3, 7, 8, 60):
+            assert list(ntheory._trial_primes(bound, d)) == self._expected_walk(bound, d)
+        # a larger trial bound grows the sieve: the memoised lists are short
+        grown = 2 * ntheory._sieve_limit + 1
+        big = FactorEffort(trial_bound=grown)
+        for p, t in [(12547, 7), (1013, 8), (7, 60)]:
+            fac = factor_prime_power_order(p, t, effort=big)
+            assert dict(fac.factors) == sympy.factorint(p ** t - 1)
+        for d in (3, 7, 8, 60):
+            walk = list(ntheory._trial_primes(grown, d))
+            assert walk == self._expected_walk(grown, d)
+            assert walk[-1] > bound
+        for p, t in self.SAMPLES[:3]:
+            assert dict(factor_prime_power_order(p, t).factors) == sympy.factorint(p ** t - 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7])
+    def test_plain_walk_below_the_switch(self, d):
+        bound = ntheory._PROGRESSION_FROM
+        assert ntheory._trial_primes(bound, d) is ntheory._sieve(bound)
+        assert ntheory._trial_primes(10 ** 6, 1) is ntheory._sieve(10 ** 6)
+
+    def test_prime_power_order_walks_the_progression(self, monkeypatch):
+        monkeypatch.setattr(ntheory, "_progressions", {})
+        fac = factor_prime_power_order(22273, 7)
+        assert dict(fac.factors) == sympy.factorint(22273 ** 7 - 1)
+        # only the part Phi_7 passes 2^16 with a composite cofactor
+        assert list(ntheory._progressions) == [7]
