@@ -7,6 +7,7 @@ verdicts cannot depend on the floating-point environment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -108,7 +109,8 @@ def sieve_delta_Delta(sieve_primes) -> tuple[Fraction, Fraction]:
     if len(set(ps)) != len(ps):
         raise ValueError("sieve primes must be distinct")
     m = len(ps)
-    delta = 1 - 2 * sum((Fraction(1, q) for q in ps), Fraction(0))
+    L = math.prod(ps)
+    delta = 1 - 2 * Fraction(sum(L // q for q in ps), L)
     if m == 0:
         return Fraction(1), Fraction(1)
     if delta <= 0:

@@ -5,12 +5,8 @@ class PrimpairError(Exception):
     pass
 
 
-class PartialFactorization(PrimpairError):
-    """A complete factorization was required but only a partial one is available."""
-
-
 class FactorizationIncomplete(PrimpairError):
-    """Field-level operation needs the full factorization of the group order."""
+    """A complete factorization was required but only a partial one is available."""
 
 
 class ZeroElement(PrimpairError):

@@ -1,8 +1,9 @@
 """Exact integer number theory: factorization, multiplicative functions, primes.
 
 Everything here works on arbitrary-precision Python ints.  Verdicts produced
-downstream depend on *complete* factorizations, so a factorization carries an
-explicit Complete/Partial status instead of silently guessing.
+downstream depend on *complete* factorizations, so a factorization keeps the
+composite cofactor it could not split instead of silently guessing; it is
+complete when that cofactor is 1.
 """
 
 from __future__ import annotations
@@ -14,14 +15,12 @@ import math
 import random
 import threading
 from dataclasses import dataclass
-from enum import Enum
 from importlib import resources
 from typing import Iterator
 
-from .errors import PartialFactorization
+from .errors import FactorizationIncomplete
 
 __all__ = [
-    "FactorStatus",
     "Factorization",
     "FactorEffort",
     "FactorCache",
@@ -40,19 +39,13 @@ __all__ = [
 ]
 
 
-class FactorStatus(Enum):
-    COMPLETE = "Complete"
-    PARTIAL = "Partial"
-
-
 @dataclass(frozen=True)
 class Factorization:
-    """n = cofactor * prod(p^e); cofactor == 1 iff status is Complete."""
+    """n = cofactor * prod(p^e); complete iff the cofactor is 1."""
 
     n: int
     factors: tuple[tuple[int, int], ...]
     cofactor: int = 1
-    status: FactorStatus = FactorStatus.COMPLETE
 
     def __post_init__(self):
         prod = self.cofactor
@@ -62,19 +55,17 @@ class Factorization:
             raise ValueError(f"factor product {prod} != {self.n}")
         if list(self.factors) != sorted(self.factors):
             raise ValueError("factors must be sorted ascending")
-        if (self.cofactor == 1) != (self.status is FactorStatus.COMPLETE):
-            raise ValueError("status inconsistent with cofactor")
 
     @property
     def complete(self) -> bool:
-        return self.status is FactorStatus.COMPLETE
+        return self.cofactor == 1
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
     def require_complete(self) -> None:
         if not self.complete:
-            raise PartialFactorization(
+            raise FactorizationIncomplete(
                 f"factorization of {self.n} has composite cofactor {self.cofactor}"
             )
 
@@ -184,12 +175,14 @@ class FactorEffort:
 
 
 class FactorCache:
-    """Append-only on-disk cache of factorizations, keyed by n.
+    """Append-only on-disk cache of complete factorizations, one line per n.
 
-    Line format: ``n=<dec> factors=<p1^e1,...> cofactor=<dec> status=<C|P>``.
+    Line format: ``n=<dec> factors=<p1^e1,...> cofactor=1 status=C``.
     Loading only indexes the lines by their leading n field; ``get`` parses
-    the lines of one n on first use, skipping corrupt ones.  Writes are
-    serialized by a lock.
+    the lines of one n on first use and keeps the first valid complete one,
+    skipping partial (``status=P``) and corrupt lines, which older files
+    may hold.  ``put`` appends a complete factorization whose n is not held
+    yet, under a lock.
     """
 
     def __init__(self, path):
@@ -219,30 +212,23 @@ class FactorCache:
             with self._lock:
                 for line in self._raw.pop(n, ()):
                     fac = _parse_cache_line(line)
-                    if fac is not None:
-                        self._keep(fac)
+                    if fac is not None and fac.complete and fac.n == n:
+                        self._mem[n] = fac
+                        break
         return self._mem.get(n)
 
-    def _keep(self, fac: Factorization) -> bool:
-        """Hold ``fac`` unless an entry at least as good is held already."""
-        old = self._mem.get(fac.n)
-        if old is not None and (old.complete or not fac.complete):
-            return False
-        self._mem[fac.n] = fac
-        return True
-
     def put(self, fac: Factorization) -> None:
+        fac.require_complete()
         with self._lock:
-            self.get(fac.n)
-            if self._keep(fac):
+            if self.get(fac.n) is None:
+                self._mem[fac.n] = fac
                 with open(self.path, "a") as fh:
                     fh.write(_format_cache_line(fac) + "\n")
 
 
 def _format_cache_line(fac: Factorization) -> str:
     fs = ",".join(f"{p}^{e}" for p, e in fac.factors)
-    st = "C" if fac.complete else "P"
-    return f"n={fac.n} factors={fs} cofactor={fac.cofactor} status={st}"
+    return f"n={fac.n} factors={fs} cofactor=1 status=C"
 
 
 def _parse_cache_line(line: str) -> Factorization | None:
@@ -258,8 +244,9 @@ def _parse_cache_line(line: str) -> Factorization | None:
                 p, e = part.split("^")
                 factors.append((int(p), int(e)))
         cof = int(kv["cofactor"])
-        status = FactorStatus.COMPLETE if kv["status"] == "C" else FactorStatus.PARTIAL
-        return Factorization(n, tuple(sorted(factors)), cof, status)
+        if kv["status"] != ("C" if cof == 1 else "P"):
+            return None
+        return Factorization(n, tuple(sorted(factors)), cof)
     except (KeyError, ValueError):
         return None
 
@@ -341,19 +328,14 @@ def _rho_hints() -> tuple[int, ...]:
 def factorize(
     n: int,
     effort: FactorEffort = FactorEffort(),
-    cache: FactorCache | None = None,
     *,
     _cyclotomic_d: int = 0,
 ) -> Factorization:
-    """Factor n >= 1.  Status is Partial only when the rho budget runs out."""
+    """Factor n >= 1.  It is partial only when the rho budget runs out."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return Factorization(1, ())
-    if cache is not None:
-        hit = cache.get(n)
-        if hit is not None and hit.complete:
-            return hit
 
     counts: dict[int, int] = {}
     composites: list[int] = []
@@ -406,11 +388,7 @@ def factorize(
         composites.append(found)
         composites.append(m // found)
 
-    status = FactorStatus.COMPLETE if unresolved == 1 else FactorStatus.PARTIAL
-    fac = Factorization(n, tuple(sorted(counts.items())), unresolved, status)
-    if cache is not None:
-        cache.put(fac)
-    return fac
+    return Factorization(n, tuple(sorted(counts.items())), unresolved)
 
 
 def _cyclotomic_values(p: int, t: int) -> dict[int, int]:
@@ -442,22 +420,23 @@ def factor_prime_power_order(
     effort: FactorEffort = FactorEffort(),
     cache: FactorCache | None = None,
 ) -> Factorization:
-    """Factorization of p^t - 1, pre-split through the cyclotomic values."""
+    """Factorization of p^t - 1, pre-split through the cyclotomic values.
+
+    A line of p^t - 1 in ``cache`` is returned as it is; a complete result
+    is appended there.  Nothing else reads or writes the cache."""
     n = p ** t - 1
-    if cache is not None:
-        hit = cache.get(n)
-        if hit is not None and hit.complete:
-            return hit
+    hit = cache.get(n) if cache is not None else None
+    if hit is not None:
+        return hit
     counts: dict[int, int] = {}
     cof = 1
     for d, part in _cyclotomic_values(p, t).items():
-        sub = factorize(part, effort=effort, cache=cache, _cyclotomic_d=d)
+        sub = factorize(part, effort=effort, _cyclotomic_d=d)
         for q, e in sub.factors:
             counts[q] = counts.get(q, 0) + e
         cof *= sub.cofactor
-    status = FactorStatus.COMPLETE if cof == 1 else FactorStatus.PARTIAL
-    fac = Factorization(n, tuple(sorted(counts.items())), cof, status)
-    if cache is not None:
+    fac = Factorization(n, tuple(sorted(counts.items())), cof)
+    if cache is not None and fac.complete:
         cache.put(fac)
     return fac
 

@@ -19,7 +19,7 @@ from primpair.bounds import (
     window_threshold,
 )
 from primpair.errors import NonPositiveDelta, NotADivisor
-from primpair.ntheory import factor_prime_power_order, factorize
+from primpair.ntheory import factor_prime_power_order, factorize, primes_upto
 
 # Published worst-case window table: (a, b, delta lower bound, Delta upper
 # bound, final-column upper bound on 5*Delta*W(k)^2), all printed truncated.
@@ -75,6 +75,17 @@ class TestSieveDeltaDelta:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             sieve_delta_Delta([5, 5])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.sampled_from(primes_upto(2000)), max_size=40))
+    def test_matches_the_per_term_sum(self, ps):
+        delta = 1 - 2 * sum((Fraction(1, q) for q in ps), Fraction(0))
+        if delta <= 0:
+            with pytest.raises(NonPositiveDelta) as exc:
+                sieve_delta_Delta(ps)
+            assert exc.value.delta == delta
+        else:
+            assert sieve_delta_Delta(ps) == (delta, (2 * len(ps) - 1) / delta + 2)
 
 
 class TestCheckThm31:

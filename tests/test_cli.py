@@ -123,6 +123,15 @@ class TestSurvey:
         assert payload["paper_diff"]["clean"] is True
         assert len(payload["records"]) == 65    # prime powers below 237
 
+    def test_cold_cache_holds_one_line_per_candidate(self, capsys, tmp_path):
+        # p^9 - 1 of each candidate, in survey order, and no cyclotomic part
+        path = tmp_path / "c.txt"
+        code, out = run(capsys, "--cache", str(path), "survey", "--t", "9")
+        assert code == 0
+        ps = [rec["p"] for rec in json.loads(out)["records"]]
+        ns = [int(line.split()[0][2:]) for line in path.read_text().splitlines()]
+        assert ns == [p ** 9 - 1 for p in ps]
+
     def test_byte_identical_reruns(self, capsys):
         _, out1 = run(capsys, "survey", "--t", "11", "--paper-diff")
         _, out2 = run(capsys, "survey", "--t", "11", "--paper-diff")

@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primpair import ntheory
-from primpair.errors import PartialFactorization
+from primpair.errors import FactorizationIncomplete
 from primpair.ntheory import (
     FactorCache,
     FactorEffort,
-    FactorStatus,
     Factorization,
     cyclotomic_split,
     euler_phi,
@@ -127,7 +126,7 @@ class TestFactorize:
         fac = factorize(n, effort=FactorEffort(trial_bound=100, rho_iterations=1))
         assert not fac.complete
         assert fac.cofactor > 1
-        with pytest.raises(PartialFactorization):
+        with pytest.raises(FactorizationIncomplete):
             fac.require_complete()
 
 
@@ -166,29 +165,24 @@ class TestTrialDivisionWalk:
 
     # Pinned values: the walk must stop at trial_bound = 10 although the
     # module's sieve always reaches 2^16.
-    @pytest.mark.parametrize("n,status,factors,cofactor", [
-        (143, FactorStatus.COMPLETE, ((11, 1), (13, 1)), 1),
-        (2 * 3 * 101, FactorStatus.COMPLETE, ((2, 1), (3, 1), (101, 1)), 1),
-        (10007 ** 7 - 1, FactorStatus.PARTIAL, ((2, 1),),
-         5024551510067035151468126771),
+    @pytest.mark.parametrize("n,factors,cofactor", [
+        (143, ((11, 1), (13, 1)), 1),
+        (2 * 3 * 101, ((2, 1), (3, 1), (101, 1)), 1),
+        (10007 ** 7 - 1, ((2, 1),), 5024551510067035151468126771),
     ])
-    def test_trial_bound_below_sieve_minimum(self, n, status, factors, cofactor):
+    def test_trial_bound_below_sieve_minimum(self, n, factors, cofactor):
         fac = factorize(n, effort=FactorEffort(trial_bound=10, rho_iterations=1))
-        assert (fac.status, fac.factors, fac.cofactor) == (status, factors, cofactor)
+        assert (fac.factors, fac.cofactor) == (factors, cofactor)
 
 
 class TestFactorizationType:
     def test_validation_rejects_bad_product(self):
         with pytest.raises(ValueError):
-            Factorization(10, ((3, 1),), 1, FactorStatus.COMPLETE)
+            Factorization(10, ((3, 1),), 1)
 
     def test_validation_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            Factorization(15, ((5, 1), (3, 1)), 1, FactorStatus.COMPLETE)
-
-    def test_status_consistency(self):
-        with pytest.raises(ValueError):
-            Factorization(12, ((2, 2), (3, 1)), 1, FactorStatus.PARTIAL)
+            Factorization(15, ((5, 1), (3, 1)), 1)
 
 
 class TestCyclotomicSplit:
@@ -287,14 +281,13 @@ class TestFactorCache:
         for n in ns:
             assert reloaded.get(n) == factorize(n)
 
-    def test_used_by_factorize(self, tmp_path):
+    def test_used_by_factor_prime_power_order(self, tmp_path):
         cache = FactorCache(str(tmp_path / "cache.txt"))
-        n = 2 ** 89 - 1
-        first = factorize(n, cache=cache)
+        first = factor_prime_power_order(2, 89, cache=cache)
         assert first.complete
         # a hit must be returned even under a budget that cannot refactor
-        again = factorize(n, effort=FactorEffort(trial_bound=2, rho_iterations=1),
-                          cache=cache)
+        again = factor_prime_power_order(
+            2, 89, effort=FactorEffort(trial_bound=2, rho_iterations=1), cache=cache)
         assert again == first
 
 
@@ -336,8 +329,16 @@ class TestLazyFactorCache:
     def test_partial_entry_alone(self, tmp_path):
         path = tmp_path / "cache.txt"
         path.write_text(self.PARTIAL)
-        fac = FactorCache(str(path)).get(self.N)
-        assert not fac.complete and fac.cofactor == self.N
+        assert FactorCache(str(path)).get(self.N) is None
+
+    @pytest.mark.parametrize("line", [
+        "n=15 factors=3^1 cofactor=5 status=C\n",         # C with a cofactor
+        "n=15 factors=3^1,5^1 cofactor=1 status=P\n",     # P without one
+    ])
+    def test_status_disagreeing_with_cofactor_is_a_miss(self, tmp_path, line):
+        path = tmp_path / "cache.txt"
+        path.write_text(line)
+        assert FactorCache(str(path)).get(15) is None
 
     @pytest.mark.parametrize("corrupt", [
         "n=15 factors=3^1,5^x cofactor=1 status=C\n",
@@ -362,25 +363,27 @@ class TestLazyFactorCache:
 
     def test_put_goes_through_the_file_entries(self, tmp_path):
         path = tmp_path / "cache.txt"
-        n = self.N
-        complete = factorize(n)
-        partial = Factorization(n, (), n, FactorStatus.PARTIAL)
-        FactorCache(str(path)).put(partial)
-        # a partial entry on file is upgraded once, a complete one is kept
+        complete = factorize(self.N)
+        # the second cache finds the first one's line on file
         FactorCache(str(path)).put(complete)
-        assert FactorCache(str(path)).get(n) == complete
-        lines = path.read_text().splitlines()
-        FactorCache(str(path)).put(partial)
         FactorCache(str(path)).put(complete)
-        assert path.read_text().splitlines() == lines
-        assert len(lines) == 2
+        assert path.read_text() == self.COMPLETE
+        with pytest.raises(FactorizationIncomplete):
+            FactorCache(str(path)).put(Factorization(self.N, (), self.N))
+        assert path.read_text() == self.COMPLETE
+
+    def test_partial_result_leaves_no_line(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        fac = factor_prime_power_order(2, 67, effort=FactorEffort(rho_iterations=1),
+                                       cache=FactorCache(str(path)))
+        assert not fac.complete
+        assert not path.exists()
 
     def test_concurrent_get_and_put(self, tmp_path):
-        # partial entries on file; eight threads upgrade every n in the same
-        # order, so a check-then-act that is not atomic appends twice
+        # eight threads put every n in the same order, so a check-then-act
+        # that is not atomic appends twice
         path = tmp_path / "cache.txt"
         facs = {n: factorize(n) for n in range(2, 2000)}
-        path.write_text("".join(f"n={n} factors= cofactor={n} status=P\n" for n in facs))
         cache = FactorCache(str(path))
         errors = []
 
@@ -404,7 +407,7 @@ class TestLazyFactorCache:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert errors == []
-        appended = path.read_text().splitlines()[len(facs):]
+        appended = path.read_text().splitlines()
         assert appended == [ntheory._format_cache_line(fac) for fac in facs.values()]
 
 class TestRhoHints:

@@ -4,6 +4,8 @@ import importlib.util
 from importlib import resources
 from pathlib import Path
 
+from primpair.survey import enumerate_prime_powers, survey_range
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -48,11 +50,25 @@ def test_usage(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+WARM_CACHE = ROOT / "perfbench" / "data" / "warm_factor_cache.txt"
+SHIPPED = resources.files("primpair.data").joinpath("rho_hints.txt")
+
+
 def test_reproduces_the_shipped_hints(tmp_path):
     # the benchmark's warm cache is the factor cache the package once
     # shipped: cold t = 7 and t = 8 surveys and more
     out = tmp_path / "hints.txt"
-    assert tool.main([str(ROOT / "perfbench" / "data" / "warm_factor_cache.txt"),
-                      str(out)]) == 0
-    shipped = resources.files("primpair.data").joinpath("rho_hints.txt")
-    assert out.read_bytes() == shipped.read_bytes()
+    assert tool.main([str(WARM_CACHE), str(out)]) == 0
+    assert out.read_bytes() == SHIPPED.read_bytes()
+
+
+def test_whole_order_lines_alone_give_the_hints():
+    # the lines of p^t - 1 for the surveyed (p, t), t = 7..62, without the
+    # lines of cyclotomic parts that the cache once also kept
+    orders = {p ** t - 1 for t in range(7, 63)
+              for p in enumerate_prime_powers(survey_range(t).p_max)}
+    with open(WARM_CACHE) as fh:
+        lines = [line for line in fh if line.startswith("n=")
+                 and int(line.split(None, 1)[0][2:]) in orders]
+    hints = tool.derive(lines)
+    assert "".join(f"{h}\n" for h in hints) == SHIPPED.read_text()
