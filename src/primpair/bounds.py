@@ -88,8 +88,14 @@ class SieveReport:
         return _margin(self.p, self.t, self.rhs)
 
 
+def _require_degree_sum(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"degree sum n = {n} must be >= 1")
+
+
 def check_thm31(p: int, t: int, n: int, facts: Factorization) -> BoundReport:
     """Does p^(t/2-2) > (2n+1) W(p^t - 1)^2 hold?"""
+    _require_degree_sum(n)
     if t < 5:
         raise ValueError("need t >= 5")
     if facts.n != p ** t - 1:
@@ -121,6 +127,7 @@ def sieve_delta_Delta(sieve_primes) -> tuple[Fraction, Fraction]:
 def check_thm34(p: int, t: int, n: int, facts: Factorization,
                 k_primes) -> SieveReport:
     """Sieve variant: delta > 0 and p^(t/2-2) > (2n+1) Delta W(k)^2."""
+    _require_degree_sum(n)
     if t < 5:
         raise ValueError("need t >= 5")
     facts.require_complete()
@@ -214,6 +221,7 @@ def table1_row(a: int, b: int, n: int = 2) -> Table1Row:
     """Worst case over a <= omega(p^t - 1) <= b: k absorbs the a smallest
     primes, and delta is minimized by the contiguous window of the (a+1)-th
     through b-th primes."""
+    _require_degree_sum(n)
     if not 1 <= a <= b:
         raise ValueError("need 1 <= a <= b")
     Wk = 1 << a
@@ -246,6 +254,7 @@ def absorbed_window_constants(n: int = 2, absorbed: int = 62,
                               last_index: int = 1546) -> tuple[Fraction, Fraction, Fraction]:
     """(delta, Delta, (2n+1) Delta W(k)^2) for k = product of the first
     `absorbed` primes and sieve window of primes absorbed+1 .. last_index."""
+    _require_degree_sum(n)
     window = primes_window(absorbed + 1, last_index)
     delta, Delta = sieve_delta_Delta(window)
     Wk = 1 << absorbed

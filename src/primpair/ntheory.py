@@ -34,7 +34,6 @@ __all__ = [
     "squarefree_divisors",
     "primes_upto",
     "primes_window",
-    "nth_prime",
     "integer_nth_root",
 ]
 
@@ -157,10 +156,6 @@ def primes_window(i: int, j: int) -> list[int]:
         bound *= 2
         ps = primes_upto(bound)
     return ps[i - 1 : j]
-
-
-def nth_prime(n: int) -> int:
-    return primes_window(n, n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -286,34 +281,19 @@ def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int
     return None, used
 
 
-# A cyclotomic part Phi_d(p) of p^t - 1 has only prime factors that divide d
-# or are 1 mod d.  Past this bound its trial division walks those alone.
-_PROGRESSION_FROM = 1 << 16
-
-# d -> (the sieve list it was cut from, its primes > _PROGRESSION_FROM that
-# are 1 mod d).  Built when a walk first passes the bound, and rebuilt when
-# the sieve has grown, so a short list is never reused.
-_progressions: dict[int, tuple[list[int], list[int]]] = {}
+# Trial division takes the primes <= its bound in blocks of this many, one
+# gcd against the block's product each.
+_BLOCK = 256
 
 
-def _trial_primes(bound: int, d: int):
-    """The primes a trial division up to ``bound`` tries, in increasing
-    order; for d >= 3 the dividend must be the cyclotomic value Phi_d(p)."""
-    primes = _sieve(bound)
-    if not 3 <= d < _PROGRESSION_FROM or bound <= _PROGRESSION_FROM:
-        return primes
-    return _progression_walk(primes, d)
-
-
-def _progression_walk(primes: list[int], d: int) -> Iterator[int]:
-    cut = bisect.bisect_right(primes, _PROGRESSION_FROM)
-    yield from itertools.islice(primes, cut)
-    with _sieve_lock:
-        entry = _progressions.get(d)
-        if entry is None or entry[0] is not primes:
-            tail = [ell for ell in itertools.islice(primes, cut, None) if ell % d == 1]
-            entry = _progressions[d] = (primes, tail)
-    yield from entry[1]
+@functools.cache
+def _trial_block(bound: int, i: int) -> tuple[list[int], int]:
+    """The i-th block of consecutive primes <= bound (empty past the last
+    one) and their product.  Every sieve list holds the same primes <= bound,
+    so a block stays valid after the sieve grows."""
+    block = _sieve(bound)[i * _BLOCK : (i + 1) * _BLOCK]
+    block = block[: bisect.bisect_right(block, bound)]
+    return block, math.prod(block)
 
 
 @functools.cache
@@ -325,12 +305,7 @@ def _rho_hints() -> tuple[int, ...]:
     return tuple(map(int, text.split()))
 
 
-def factorize(
-    n: int,
-    effort: FactorEffort = FactorEffort(),
-    *,
-    _cyclotomic_d: int = 0,
-) -> Factorization:
+def factorize(n: int, effort: FactorEffort = FactorEffort()) -> Factorization:
     """Factor n >= 1.  It is partial only when the rho budget runs out."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -342,19 +317,31 @@ def factorize(
     budget = effort.rho_iterations
     rng = random.Random(n)
 
-    # trial division, until the cofactor is 1 or prime
+    # trial division by blocks of primes, until the cofactor is 1 or prime;
+    # a block whose gcd with m is 1 is skipped whole.  No isqrt(m) stop is
+    # needed: a composite m has a prime factor <= isqrt(m) that no block
+    # walked so far held.
     m = n
     m_prime = is_prime(m)
-    stop = 0 if m_prime else min(effort.trial_bound, math.isqrt(m))
-    for p in _trial_primes(effort.trial_bound, _cyclotomic_d):
-        if p > stop:
+    i = 0
+    while m > 1 and not m_prime:
+        block, product = _trial_block(effort.trial_bound, i)
+        if not block:
             break
-        if m % p == 0:
-            while m % p == 0:
-                counts[p] = counts.get(p, 0) + 1
-                m //= p
-            m_prime = is_prime(m)
-            stop = 0 if m_prime else min(effort.trial_bound, math.isqrt(m))
+        i += 1
+        # reducing first is cheaper than a gcd on the block product itself
+        g = math.gcd(product % m, m)
+        if g == 1:
+            continue
+        for p in block:
+            if g % p == 0:
+                while m % p == 0:
+                    counts[p] = counts.get(p, 0) + 1
+                    m //= p
+                g //= p
+                if g == 1:
+                    break
+        m_prime = is_prime(m)
     if m_prime:
         counts[m] = 1
     elif m > 1:
@@ -368,9 +355,10 @@ def factorize(
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
-        # perfect-power check keeps rho off p^k inputs
+        # perfect-power check keeps rho off p^k inputs; the least k with
+        # m a k-th power is prime, so only prime k are tried
         handled = False
-        for k in range(2, m.bit_length()):
+        for k in primes_upto(m.bit_length() - 1):
             root = integer_nth_root(m, k)
             if root ** k == m:
                 composites.extend([root] * k)
@@ -391,8 +379,12 @@ def factorize(
     return Factorization(n, tuple(sorted(counts.items())), unresolved)
 
 
-def _cyclotomic_values(p: int, t: int) -> dict[int, int]:
-    """d -> Phi_d(p) for each divisor d of t, in increasing d."""
+def cyclotomic_split(p: int, t: int) -> list[int]:
+    """Values of the d-th cyclotomic polynomial at p, for each divisor d of t
+    in increasing order.
+
+    Their product is p^t - 1, which makes this a useful pre-split before rho.
+    """
     if p < 2 or t < 1:
         raise ValueError("need p >= 2, t >= 1")
     divs = [d for d in range(1, t + 1) if t % d == 0]
@@ -403,15 +395,7 @@ def _cyclotomic_values(p: int, t: int) -> dict[int, int]:
             if e < d and d % e == 0:
                 v //= values[e]
         values[d] = v
-    return values
-
-
-def cyclotomic_split(p: int, t: int) -> list[int]:
-    """Values of the d-th cyclotomic polynomial at p, for each divisor d of t.
-
-    Their product is p^t - 1, which makes this a useful pre-split before rho.
-    """
-    return list(_cyclotomic_values(p, t).values())
+    return list(values.values())
 
 
 def factor_prime_power_order(
@@ -430,8 +414,8 @@ def factor_prime_power_order(
         return hit
     counts: dict[int, int] = {}
     cof = 1
-    for d, part in _cyclotomic_values(p, t).items():
-        sub = factorize(part, effort=effort, _cyclotomic_d=d)
+    for part in cyclotomic_split(p, t):
+        sub = factorize(part, effort=effort)
         for q, e in sub.factors:
             counts[q] = counts.get(q, 0) + e
         cof *= sub.cofactor

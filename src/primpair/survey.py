@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -51,8 +50,6 @@ __all__ = [
     "MembershipReport",
     "verify_membership_sample",
     "record_to_dict",
-    "write_records_jsonl",
-    "write_records_csv",
     "EXHAUSTIVE_CAP",
 ]
 
@@ -365,19 +362,3 @@ def record_to_dict(rec: SurveyRecord) -> dict:
     if rec.reason:
         out["reason"] = rec.reason
     return out
-
-
-def write_records_jsonl(records, fh) -> None:
-    for rec in sorted(records, key=lambda r: (r.t, r.p, r.n)):
-        fh.write(json.dumps(record_to_dict(rec), sort_keys=True) + "\n")
-
-
-def write_records_csv(records, fh) -> None:
-    w = csv.writer(fh)
-    w.writerow(["t", "p", "n", "status", "k_primes", "m"])
-    for rec in sorted(records, key=lambda r: (r.t, r.p, r.n)):
-        k = m = ""
-        if rec.sieve is not None and rec.sieve.verdict is Verdict.PASS:
-            k = "*".join(str(q) for q in rec.sieve.k_primes) or "1"
-            m = rec.sieve.m
-        w.writerow([rec.t, rec.p, rec.n, rec.status.value, k, m])

@@ -9,6 +9,8 @@ below 4.93x10^465); that sub-claim is implemented faithfully and marked
 strict-xfail rather than weakened — see the class docstring.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -40,6 +42,7 @@ from primpair.ratfunc import sample_rational
 from primpair.survey import (
     load_published_sieve,
     published_exceptions,
+    record_to_dict,
     reproduce_appendix,
     verify_membership_sample,
 )
@@ -175,11 +178,28 @@ class TestCriterion4FastTier:
         assert diff.computed_exceptions == (2, 3, 4, 5, 7, 8, 11, 16)
 
 
+def _survey_digests(diff, cache_path):
+    """sha256 of the records, sorted, one JSON line each, and of the cache
+    file the survey wrote."""
+    recs = sorted((record_to_dict(r) for r in diff.records),
+                  key=lambda d: (d["t"], d["p"], d["n"]))
+    text = "".join(json.dumps(d, sort_keys=True) + "\n" for d in recs)
+    return (hashlib.sha256(text.encode()).hexdigest(),
+            hashlib.sha256(cache_path.read_bytes()).hexdigest())
+
+
 class TestCriterion5ExtendedTier:
-    """t = 7 and t = 8 full ranges, cold: no factor cache ships."""
+    """t = 7 and t = 8 full ranges, cold: no factor cache ships.  The digests
+    pin every record and every cache line, so every factorization of
+    p^t - 1 the survey makes, byte for byte."""
 
     def test_t7(self, tmp_path):
-        diff = reproduce_appendix(7, cache=FactorCache(str(tmp_path / "cache.txt")))
+        path = tmp_path / "cache.txt"
+        diff = reproduce_appendix(7, cache=FactorCache(str(path)))
+        assert _survey_digests(diff, path) == (
+            "89f08844c74ed6c8491732f005e3fcbef6e7d5f5713214480c2a4b60aa0284a4",
+            "15aabec0f66e7a7c1397990bd44ac325bacbf441dfd4c690861a7e2c4a9ff992",
+        )
         assert diff.unknown == ()
         assert diff.failing_diff == ((), ())
         assert len(diff.computed_failing) == 253
@@ -190,7 +210,12 @@ class TestCriterion5ExtendedTier:
         assert missing == (14323,) and extra == ()
 
     def test_t8(self, tmp_path):
-        diff = reproduce_appendix(8, cache=FactorCache(str(tmp_path / "cache.txt")))
+        path = tmp_path / "cache.txt"
+        diff = reproduce_appendix(8, cache=FactorCache(str(path)))
+        assert _survey_digests(diff, path) == (
+            "e8813e391d3cef00b88168b8ab3afc70a5bc1b72cd53fa20cb29fe2bddebcb30",
+            "acaff75687b92d71979f38ab283ea5ea0ce3ca90a4d8f9ec05ed00a6a74788d4",
+        )
         assert diff.unknown == ()
         assert diff.failing_diff == ((), ())
         assert len(diff.computed_failing) == 201

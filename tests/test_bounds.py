@@ -120,6 +120,22 @@ class TestCheckThm31:
         assert rep.verdict is Verdict.FAIL
 
 
+class TestDegreeSum:
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_below_one_rejected(self, n):
+        facts = factor_prime_power_order(2, 22)
+        calls = [
+            lambda: check_thm31(2, 22, n, facts),
+            lambda: check_thm34(2, 22, n, facts, [3, 23]),
+            lambda: find_sieve_params(2, 22, n, facts),
+            lambda: table1_row(5, 15, n),
+            lambda: absorbed_window_constants(n),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="degree sum"):
+                call()
+
+
 class TestCheckThm34:
     def test_spec_like_example(self):
         # 2^22 - 1 = 3 * 23 * 89 * 683; absorbing {3, 23} leaves m = 2

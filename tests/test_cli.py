@@ -59,6 +59,11 @@ class TestCheckBound:
         code, out = run(capsys, "--cache", "", "check-bound", "--p", "6", "--t", "7")
         assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_degree_sum_below_one_exits_two(self, capsys, n):
+        code, out = run(capsys, "check-bound", "--p", "7", "--t", "7", "--n", n)
+        assert (code, out) == (2, "")
+
     def test_config_embedded(self, capsys):
         _, out = run(capsys, "--seed", "42", "check-bound", "--p", "2", "--t", "7")
         payload = json.loads(out)
@@ -88,6 +93,7 @@ class TestSieve:
     @pytest.mark.parametrize("argv", [
         ("--p", "6", "--t", "7"),
         ("--p", "3", "--t", "8", "--k-primes", "2", "2"),   # repeated k prime
+        ("--p", "7", "--t", "7", "--n", "-1"),               # degree sum below 1
     ])
     def test_bad_input_exits_two(self, capsys, argv):
         code, out = run(capsys, "--cache", "", "sieve", *argv)
@@ -102,6 +108,9 @@ class TestTable1:
         assert len(rows) == 9
         assert rows[0]["a"] == 13 and rows[0]["b"] == 94
         assert rows[-1]["Wk"] == 32
+
+    def test_degree_sum_below_one_exits_two(self, capsys):
+        assert run(capsys, "table1", "--n", "-1") == (2, "")
 
 
 class TestLemma35:
@@ -131,6 +140,9 @@ class TestSurvey:
         ps = [rec["p"] for rec in json.loads(out)["records"]]
         ns = [int(line.split()[0][2:]) for line in path.read_text().splitlines()]
         assert ns == [p ** 9 - 1 for p in ps]
+
+    def test_degree_sum_below_one_exits_two(self, capsys):
+        assert run(capsys, "survey", "--t", "9", "--n", "0") == (2, "")
 
     def test_byte_identical_reruns(self, capsys):
         _, out1 = run(capsys, "survey", "--t", "11", "--paper-diff")

@@ -1,5 +1,7 @@
 """Number-theory layer, checked against sympy as an independent oracle."""
 
+import itertools
+import math
 import sys
 import threading
 from pathlib import Path
@@ -22,7 +24,6 @@ from primpair.ntheory import (
     integer_nth_root,
     is_prime,
     mobius,
-    nth_prime,
     omega_and_W,
     primes_upto,
     primes_window,
@@ -90,7 +91,7 @@ class TestPrimes:
 
     def test_nth_prime_vs_sympy(self):
         for i in (1, 10, 100, 1000, 1547):
-            assert nth_prime(i) == sympy.prime(i)
+            assert primes_window(i, i) == [sympy.prime(i)]
 
 
 class TestFactorize:
@@ -453,6 +454,8 @@ def _no_rho(*args):
 
 
 class TestCyclotomicProgression:
+    """p^t - 1, factored part by part through the cyclotomic split."""
+
     SAMPLES = [
         (12547, 7), (22273, 7), (10007, 7), (26357, 7), (2, 7),
         (1013, 8), (1346, 8), (3, 8),
@@ -467,37 +470,59 @@ class TestCyclotomicProgression:
         assert fac.complete
         assert dict(fac.factors) == sympy.factorint(p ** t - 1)
 
-    @staticmethod
-    def _expected_walk(bound, d):
-        return [ell for ell in ntheory._sieve(bound)
-                if ell <= ntheory._PROGRESSION_FROM or ell % d == 1]
 
-    def test_walk_after_the_sieve_grows(self):
-        bound = FactorEffort().trial_bound
-        for d in (3, 7, 8, 60):
-            assert list(ntheory._trial_primes(bound, d)) == self._expected_walk(bound, d)
-        # a larger trial bound grows the sieve: the memoised lists are short
+def _joined_blocks(bound):
+    joined = []
+    for i in itertools.count():
+        block, product = ntheory._trial_block(bound, i)
+        if not block:
+            return joined
+        assert product == math.prod(block)
+        joined += block
+
+
+class TestTrialBlocks:
+    def test_blocks_join_to_the_primes_upto_bound(self):
+        ntheory._trial_block.cache_clear()
+        bounds = [2, 10, 2 ** 16, 10 ** 6]
+        for bound in bounds:
+            assert _joined_blocks(bound) == primes_upto(bound)
+        # a bound past the sieve limit grows the sieve; blocks built from
+        # the shorter list still hold the same primes
+        grown = 2 * ntheory._sieve_limit + 1
+        assert _joined_blocks(grown) == primes_upto(grown)
+        assert _joined_blocks(grown)[-1] > 10 ** 6
+        for bound in bounds:
+            assert _joined_blocks(bound) == primes_upto(bound)
+
+    def test_grown_trial_bound_matches_sympy(self, monkeypatch):
         grown = 2 * ntheory._sieve_limit + 1
         big = FactorEffort(trial_bound=grown)
         for p, t in [(12547, 7), (1013, 8), (7, 60)]:
             fac = factor_prime_power_order(p, t, effort=big)
             assert dict(fac.factors) == sympy.factorint(p ** t - 1)
-        for d in (3, 7, 8, 60):
-            walk = list(ntheory._trial_primes(grown, d))
-            assert walk == self._expected_walk(grown, d)
-            assert walk[-1] > bound
-        for p, t in self.SAMPLES[:3]:
-            assert dict(factor_prime_power_order(p, t).factors) == sympy.factorint(p ** t - 1)
+        # the two primes below the grown bound must come from trial division
+        monkeypatch.setattr(ntheory, "_rho_hints", lambda: ())
+        monkeypatch.setattr(ntheory, "_brent_rho", _no_rho)
+        q1 = sympy.prevprime(grown + 1)
+        q2 = sympy.prevprime(q1)
+        n = q1 * q2 ** 2 * (10 ** 12 + 39)
+        assert dict(factorize(n, effort=big).factors) == sympy.factorint(n)
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 7])
-    def test_plain_walk_below_the_switch(self, d):
-        bound = ntheory._PROGRESSION_FROM
-        assert ntheory._trial_primes(bound, d) is ntheory._sieve(bound)
-        assert ntheory._trial_primes(10 ** 6, 1) is ntheory._sieve(10 ** 6)
+    @pytest.mark.parametrize("n,blocks", [
+        (2 ** 10 * 3, [0]),                              # cofactor 1
+        (2 * (10 ** 12 + 39), [0]),                      # prime cofactor
+        (primes_upto(10 ** 4)[3 * 256 + 5] * (10 ** 12 + 39), [0, 1, 2, 3]),
+        (1000003 * 1000033, list(range(len(primes_upto(10 ** 6)) // 256 + 2))),
+    ])
+    def test_walk_ends_at_the_exposing_block(self, monkeypatch, n, blocks):
+        walked = []
+        real = ntheory._trial_block
 
-    def test_prime_power_order_walks_the_progression(self, monkeypatch):
-        monkeypatch.setattr(ntheory, "_progressions", {})
-        fac = factor_prime_power_order(22273, 7)
-        assert dict(fac.factors) == sympy.factorint(22273 ** 7 - 1)
-        # only the part Phi_7 passes 2^16 with a composite cofactor
-        assert list(ntheory._progressions) == [7]
+        def recording(bound, i):
+            walked.append(i)
+            return real(bound, i)
+
+        monkeypatch.setattr(ntheory, "_trial_block", recording)
+        assert dict(factorize(n).factors) == sympy.factorint(n)
+        assert walked == blocks

@@ -1,6 +1,5 @@
 """Survey pipeline: ranges, classification, published-list diffs, witnesses."""
 
-import io
 import json
 import os
 import subprocess
@@ -24,8 +23,6 @@ from primpair.survey import (
     survey_range,
     verify_membership_sample,
     witness_search,
-    write_records_csv,
-    write_records_jsonl,
 )
 
 # Published per-t candidate ranges (p strictly below the bound).
@@ -253,17 +250,3 @@ class TestSerialization:
         json.dumps(d)     # must be serializable
         assert d["status"] == "ProvenBySieve"
         assert d["sieve"]["m"] == rec.sieve.m
-
-    def test_jsonl_sorted_and_stable(self):
-        recs = [classify(p, 9, 2) for p in (16, 2, 7)]
-        buf1, buf2 = io.StringIO(), io.StringIO()
-        write_records_jsonl(recs, buf1)
-        write_records_jsonl(list(reversed(recs)), buf2)
-        assert buf1.getvalue() == buf2.getvalue()
-        ps = [json.loads(line)["p"] for line in buf1.getvalue().splitlines()]
-        assert ps == sorted(ps)
-
-    def test_csv_header(self):
-        buf = io.StringIO()
-        write_records_csv([classify(2, 9, 2)], buf)
-        assert buf.getvalue().splitlines()[0] == "t,p,n,status,k_primes,m"
