@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import NonPositiveDelta, NotADivisor
 from .ntheory import (
@@ -51,16 +51,11 @@ def _exceeds(p: int, t: int, rhs: Fraction) -> bool:
     return p ** (t - 4) * rhs.denominator ** 2 > rhs.numerator ** 2
 
 
-def _margin(p: int, t: int, rhs: Fraction) -> int:
-    return p ** (t - 4) * rhs.denominator ** 2 - rhs.numerator ** 2
-
-
 @dataclass(frozen=True)
 class BoundReport:
     p: int
     t: int
     n: int
-    lhs_exponent: int           # t - 4, after squaring both sides
     W: int | None               # None when the factorization was partial
     rhs: Fraction | None        # (2n+1) * W^2
     verdict: Verdict
@@ -81,12 +76,6 @@ class SieveReport:
     rhs: Fraction | None        # (2n+1) * Delta * Wk^2
     verdict: Verdict
 
-    @property
-    def margin(self) -> int | None:
-        if self.rhs is None:
-            return None
-        return _margin(self.p, self.t, self.rhs)
-
 
 def _require_degree_sum(n: int) -> None:
     if n < 1:
@@ -101,27 +90,33 @@ def check_thm31(p: int, t: int, n: int, facts: Factorization) -> BoundReport:
     if facts.n != p ** t - 1:
         raise ValueError("facts must factor p^t - 1")
     if not facts.complete:
-        return BoundReport(p, t, n, t - 4, None, None, Verdict.UNKNOWN,
+        return BoundReport(p, t, n, None, None, Verdict.UNKNOWN,
                            reason=f"partial factorization, cofactor {facts.cofactor}")
     _, W = omega_and_W(facts)
     rhs = Fraction((2 * n + 1) * W * W)
     verdict = Verdict.PASS if _exceeds(p, t, rhs) else Verdict.FAIL
-    return BoundReport(p, t, n, t - 4, W, rhs, verdict)
+    return BoundReport(p, t, n, W, rhs, verdict)
+
+
+def _sieve_terms(sieve_primes) -> tuple[int, int, int]:
+    """(d, D, L) with delta = d/L and Delta = D/d, in integers.
+
+    L is the product of the m sieve primes and S = sum(L/q), so
+    d = L - 2S and D = (2m+1)L - 4S."""
+    ps = list(sieve_primes)
+    if len(set(ps)) != len(ps):
+        raise ValueError("sieve primes must be distinct")
+    L = math.prod(ps)
+    S = sum(L // q for q in ps)
+    return L - 2 * S, (2 * len(ps) + 1) * L - 4 * S, L
 
 
 def sieve_delta_Delta(sieve_primes) -> tuple[Fraction, Fraction]:
     """delta = 1 - 2*sum(1/q_i); Delta = (2m-1)/delta + 2.  Exact rationals."""
-    ps = list(sieve_primes)
-    if len(set(ps)) != len(ps):
-        raise ValueError("sieve primes must be distinct")
-    m = len(ps)
-    L = math.prod(ps)
-    delta = 1 - 2 * Fraction(sum(L // q for q in ps), L)
-    if m == 0:
-        return Fraction(1), Fraction(1)
-    if delta <= 0:
-        raise NonPositiveDelta(delta)
-    return delta, Fraction(2 * m - 1) / delta + 2
+    d, D, L = _sieve_terms(sieve_primes)
+    if d <= 0:
+        raise NonPositiveDelta(Fraction(d, L))
+    return Fraction(d, L), Fraction(D, d)
 
 
 def check_thm34(p: int, t: int, n: int, facts: Factorization,
@@ -162,42 +157,32 @@ def find_sieve_params(p: int, t: int, n: int, facts: Factorization) -> SieveRepo
 
     Order: k = product of the j smallest primes for j = 0..omega, then every
     subset of the smallest min(omega, _SUBSET_PRIMES) primes by size and
-    position.  Returns the first Pass, else the largest-margin Fail.
+    position.  Returns the first Pass, else the first Fail with the largest
+    margin p^(t-4) den^2 - num^2 on the reduced rhs = num/den (a k with
+    delta <= 0 has none and loses to any k that has one).  Each k is decided
+    in integers; only the returned k gets a SieveReport.
     """
     facts.require_complete()
-    primes = list(facts.primes())
-    best: SieveReport | None = None
-    seen: set[tuple[int, ...]] = set()
-
-    def consider(k):
-        nonlocal best
-        key = tuple(sorted(k))
-        if key in seen:
-            return None
-        seen.add(key)
-        rep = check_thm34(p, t, n, facts, key)
-        if rep.verdict is Verdict.PASS:
-            return rep
-        if rep.rhs is not None and (best is None or best.rhs is None
-                                    or rep.margin > best.margin):
-            best = rep
-        elif best is None:
-            best = rep
-        return None
-
-    for j in range(len(primes) + 1):
-        hit = consider(primes[:j])
-        if hit is not None:
-            return hit
+    primes = facts.primes()
     pool = primes[:_SUBSET_PRIMES]
-    for size in range(1, len(pool) + 1):
-        for combo in combinations(range(len(pool)), size):
-            hit = consider([pool[i] for i in combo])
-            if hit is not None:
-                return hit
-    if best is None:
-        raise AssertionError("sieve search considered no k")
-    return best
+    prefixes = (primes[:j] for j in range(len(primes) + 1))
+    subsets = (k for size in range(1, len(pool) + 1)
+               for k in combinations(pool, size))
+    lhs = p ** (t - 4)
+    best = best_margin = None
+    for k in chain(prefixes, subsets):
+        d, D, _ = _sieve_terms(q for q in primes if q not in k)
+        if d > 0:
+            num = (2 * n + 1) * D << 2 * len(k)
+            g = math.gcd(num, d)
+            margin = lhs * (d // g) ** 2 - (num // g) ** 2
+            if margin > 0:
+                return check_thm34(p, t, n, facts, k)
+            if best_margin is None or margin > best_margin:
+                best, best_margin = k, margin
+        elif best is None:
+            best = k
+    return check_thm34(p, t, n, facts, best)
 
 
 @dataclass(frozen=True)
@@ -215,6 +200,11 @@ TABLE1_WINDOWS = [
     (13, 94), (7, 34), (6, 25), (6, 23), (6, 22),
     (5, 19), (5, 17), (5, 16), (5, 15),
 ]
+
+# The omega >= 63 section: k absorbs the first _ABSORBED primes and the
+# sieve runs over primes _ABSORBED+1 .. _WINDOW_END.
+_ABSORBED = 62
+_WINDOW_END = 1546
 
 
 def table1_row(a: int, b: int, n: int = 2) -> Table1Row:
@@ -250,14 +240,13 @@ def window_threshold(bound: Fraction | int, t_min: int) -> int:
     return r
 
 
-def absorbed_window_constants(n: int = 2, absorbed: int = 62,
-                              last_index: int = 1546) -> tuple[Fraction, Fraction, Fraction]:
+def absorbed_window_constants(n: int = 2) -> tuple[Fraction, Fraction, Fraction]:
     """(delta, Delta, (2n+1) Delta W(k)^2) for k = product of the first
-    `absorbed` primes and sieve window of primes absorbed+1 .. last_index."""
+    _ABSORBED primes and sieve window of primes _ABSORBED+1 .. _WINDOW_END."""
     _require_degree_sum(n)
-    window = primes_window(absorbed + 1, last_index)
+    window = primes_window(_ABSORBED + 1, _WINDOW_END)
     delta, Delta = sieve_delta_Delta(window)
-    Wk = 1 << absorbed
+    Wk = 1 << _ABSORBED
     return delta, Delta, (2 * n + 1) * Delta * Wk * Wk
 
 

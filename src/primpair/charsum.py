@@ -173,17 +173,15 @@ def tau_indicator(ctx: FieldCtx, a: FieldElement, eps: FieldElement, r: int) -> 
 
 
 def char_sum_chi(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
-                 b: FieldElement, s1: int, s2: int, r: int,
-                 c1: int = 1, c2: int = 1) -> complex:
+                 b: FieldElement, s1: int, s2: int, r: int) -> complex:
     """The hybrid sum over (u, v) in F_p^2 and eps outside the zero/pole set,
-    for one pair of characters of exact orders s1 and s2 (selected by the
-    coprime indices c1, c2)."""
+    for the pair of characters chi^((Q-1)/s1), chi^((Q-1)/s2) of exact
+    orders s1 and s2."""
     lab = _lab(ctx, r)
     n = ctx.Q - 1
     if n % s1 or n % s2:
         raise NotADivisor("character orders must divide Q - 1")
-    mhat1 = n // s1 * c1 % n
-    mhat2 = n // s2 * c2 % n
+    mhat1, mhat2 = n // s1, n // s2
     # per-eps data reused across the (u, v) loop
     rows = []
     for eps, eps0 in _outside_Pp(ctx, f):

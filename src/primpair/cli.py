@@ -120,7 +120,7 @@ def _cmd_sieve(args) -> int:
         _emit({"config": _run_config(args), "verdict": "Unknown",
                "reason": f"partial factorization, cofactor {facts.cofactor}"})
         return EXIT_UNRESOLVED
-    if args.k_primes:
+    if args.k_primes is not None:
         rep = check_thm34(args.p, args.t, args.n, facts, args.k_primes)
     else:
         rep = find_sieve_params(args.p, args.t, args.n, facts)

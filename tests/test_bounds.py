@@ -1,14 +1,17 @@
 """Exact-rational bound checks against published constants and cross-checks."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primpair import bounds
 from primpair.bounds import (
     TABLE1_WINDOWS,
     Verdict,
+    _exceeds,
     absorbed_window_constants,
     check_thm31,
     check_thm34,
@@ -19,7 +22,8 @@ from primpair.bounds import (
     window_threshold,
 )
 from primpair.errors import NonPositiveDelta, NotADivisor
-from primpair.ntheory import factor_prime_power_order, factorize, primes_upto
+from primpair.ntheory import FactorEffort, factor_prime_power_order, primes_upto
+from primpair.survey import enumerate_prime_powers, survey_range
 
 # Published worst-case window table: (a, b, delta lower bound, Delta upper
 # bound, final-column upper bound on 5*Delta*W(k)^2), all printed truncated.
@@ -101,23 +105,17 @@ class TestCheckThm31:
         assert rep.verdict is Verdict.PASS
 
     def test_unknown_on_partial(self):
-        from primpair.ntheory import FactorEffort
-        n = 10007
         facts = factor_prime_power_order(
             10007, 7, effort=FactorEffort(trial_bound=10, rho_iterations=1))
-        if not facts.complete:
-            rep = check_thm31(n, 7, 2, facts)
-            assert rep.verdict is Verdict.UNKNOWN
+        assert not facts.complete
+        rep = check_thm31(10007, 7, 2, facts)
+        assert rep.verdict is Verdict.UNKNOWN
+        assert (rep.W, rep.rhs) == (None, None)
 
     def test_boundary_exact_equality_fails(self):
-        # contrived: rhs exactly p^((t-4)/2) must not pass (strict inequality)
-        facts = factorize(2 ** 12 - 1)
-
-        class FakeFacts:
-            pass
-        rep = check_thm31(2, 12, 2, factor_prime_power_order(2, 12))
-        # 2^4 = 16 vs 5 * W^2 with W = 2^4=16 -> rhs = 1280, clear fail
-        assert rep.verdict is Verdict.FAIL
+        # p^(t/2-2) > rhs is strict: 4^(8/2-2) = 16 does not exceed 16
+        assert not _exceeds(4, 8, Fraction(16))
+        assert _exceeds(4, 8, Fraction(31, 2))
 
 
 class TestDegreeSum:
@@ -197,6 +195,79 @@ class TestFindSieveParams:
             again = check_thm34(p, t, 2, facts, rep.k_primes)
             assert again.verdict is Verdict.PASS
             assert again.m == rep.m
+
+    @pytest.mark.parametrize("p,t", [(8, 9), (2, 7), (3, 8), (2, 22)])
+    def test_one_report_per_search(self, monkeypatch, p, t):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return check_thm34(*args)
+        monkeypatch.setattr(bounds, "check_thm34", counted)
+        rep = find_sieve_params(p, t, 2, factor_prime_power_order(p, t))
+        assert len(calls) == 1 and calls[0][4] == rep.k_primes
+
+
+def _report_per_k_search(p, t, n, facts):
+    """find_sieve_params as a report per candidate k: the same k order, the
+    first Pass, else the first largest margin on the reduced rhs, and a
+    delta <= 0 report kept only while nothing else is."""
+    def margin(rep):
+        return p ** (t - 4) * rep.rhs.denominator ** 2 - rep.rhs.numerator ** 2
+
+    primes = list(facts.primes())
+    pool = primes[:12]
+    ks = [primes[:j] for j in range(len(primes) + 1)]
+    ks += [[pool[i] for i in combo] for size in range(1, len(pool) + 1)
+           for combo in combinations(range(len(pool)), size)]
+    best, seen = None, set()
+    for k in ks:
+        key = tuple(sorted(k))
+        if key in seen:
+            continue
+        seen.add(key)
+        rep = check_thm34(p, t, n, facts, key)
+        if rep.verdict is Verdict.PASS:
+            return rep
+        if rep.rhs is not None and (best is None or best.rhs is None
+                                    or margin(rep) > margin(best)):
+            best = rep
+        elif best is None:
+            best = rep
+    return best
+
+
+def _thm31_failures(ts):
+    for t in ts:
+        for p in enumerate_prime_powers(survey_range(t).p_max):
+            facts = factor_prime_power_order(p, t)
+            if check_thm31(p, t, 2, facts).verdict is not Verdict.PASS:
+                yield p, t, facts
+
+
+class TestSearchMatchesReportPerK:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_survey_failure_t8_to_16(self, n):
+        cases = list(_thm31_failures(range(8, 17)))
+        assert len(cases) == 303
+        first_k_nonpositive = 0
+        for p, t, facts in cases:
+            first_k_nonpositive += check_thm34(p, t, n, facts, ()).rhs is None
+            assert find_sieve_params(p, t, n, facts) \
+                == _report_per_k_search(p, t, n, facts), (p, t)
+        assert first_k_nonpositive > 0
+
+    @pytest.mark.parametrize("p,t,k", [
+        (3, 8, (2, 5, 41)),     # delta <= 0 at k = 1, largest-margin Fail
+        (2, 7, (127,)),         # one prime, Fail
+        (2, 9, (73,)),          # Fail from the subset stage
+        (49, 8, (2, 3)),        # Pass from the prefix stage
+    ])
+    def test_pinned(self, p, t, k):
+        facts = factor_prime_power_order(p, t)
+        rep = find_sieve_params(p, t, 2, facts)
+        assert rep == _report_per_k_search(p, t, 2, facts)
+        assert rep.k_primes == k
 
 
 class TestAbsorbedWindow:

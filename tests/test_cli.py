@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import primpair
+from primpair.bounds import check_thm34
 from primpair.cli import main
+from primpair.ntheory import factor_prime_power_order
 
 
 def run(capsys, *argv):
@@ -84,6 +87,18 @@ class TestSieve:
         code, out = run(capsys, "sieve", "--p", "8", "--t", "9")
         assert code == 0
         assert json.loads(out)["verdict"] == "Pass"
+
+    @pytest.mark.parametrize("p,t", [(2, 7), (3, 8)])
+    def test_empty_k_is_k_one(self, capsys, p, t):
+        # --k-primes with no values is k = 1, not the search
+        code, out = run(capsys, "--cache", "", "sieve", "--p", str(p),
+                        "--t", str(t), "--k-primes")
+        assert code == 0
+        payload = json.loads(out)
+        rep = check_thm34(p, t, 2, factor_prime_power_order(p, t), ())
+        assert payload["k_primes"] == []
+        assert (payload["m"], Fraction(payload["delta"]), payload["verdict"]) \
+            == (rep.m, rep.delta, rep.verdict.value)
 
     def test_invalid_k_exits_two(self, capsys):
         code, _ = run(capsys, "sieve", "--p", "2", "--t", "22",
@@ -251,6 +266,9 @@ CLI_DIGESTS = {
         (0, "a4e8b104fb57587d481753f1d97a6e59e7214809a97aedb027c06bef4574b3db"),
     ("sieve", "--p", "2", "--t", "22"):
         (0, "f5e22bfa707e080437d2368fb5b482f838309603145a6bb5c59df4640e1ff154"),
+    # no k passes: the search reports its largest-margin Fail
+    ("sieve", "--p", "3", "--t", "8"):
+        (0, "d62430f3813dddf30324b1decb61150bf0f4f710301e8910046546185819d272"),
     ("table1",):
         (0, "0d1c0b00c027883fcef942e3cd9fb16726100e4bb5ab4c5d70da32aa4d5fa5e1"),
     ("lemma35",):
