@@ -8,7 +8,9 @@ The existence proofs rest on two indicator expansions over GF(Q):
 
 Multiplying them out expresses the count of valid eps as a main term plus
 character sums, each bounded in absolute value by (2n+1) * p^(t/2+2).
-On a small field we can verify all of this numerically.
+On a small field we can verify all of this: the indicators and the count
+expansion exactly (their character values are residues in a prime field
+that holds the roots of unity), the sums numerically.
 """
 
 import random
@@ -24,16 +26,16 @@ from primpair.charsum import (
 ctx = make_field(3, 4)      # GF(81)
 rng = random.Random(1)
 
-# --- indicators are really 0/1 --------------------------------------------
+# --- indicators are exactly 0/1 -------------------------------------------
 mismatch = 0
 for eps in ctx.units():
-    truth = 1.0 if ctx.is_primitive(eps) else 0.0
-    if abs(rho_indicator(ctx, ctx.Q - 1, eps) - truth) > 1e-6:
+    truth = 1 if ctx.is_primitive(eps) else 0
+    if rho_indicator(ctx, ctx.Q - 1, eps) != truth:
         mismatch += 1
 for a in ctx.subfield_elements(1):
     for eps in ctx.elements():
-        truth = 1.0 if ctx.trace_rel(eps, 1) == a else 0.0
-        if abs(tau_indicator(ctx, a, eps, 1) - truth) > 1e-6:
+        truth = 1 if ctx.trace_rel(eps, 1) == a else 0
+        if tau_indicator(ctx, a, eps, 1) != truth:
             mismatch += 1
 print(f"indicator mismatches over GF(81): {mismatch}")
 

@@ -1,9 +1,11 @@
 """Character-sum laboratory on small fields.
 
-Multiplicative characters are realized through the dense discrete-log table:
-a character is indexed by an exponent multiplier mhat, with
-chi(g^j) = exp(2*pi*i * j * mhat / (Q-1)).  The canonical additive character
-uses the absolute trace to the prime field.
+Character values are residues mod ell, the least prime = 1 mod q(Q-1), in
+powers of a root z of order q(Q-1): chi(g^j) = z^(q j mhat) for the character
+of exponent multiplier mhat, and psi(x) = z^((Q-1) Tr(x)) on the absolute
+trace.  p, phi(s) and k are units mod ell and every count is below ell, so
+the indicators and the count-A expansion are checked exactly; only
+char_sum_chi, whose absolute value the Weil bound is about, is complex.
 
 The field is GF(q^m) = F_{p^t} with p = q^r and t = m/r; the subfield degree
 r is passed explicitly to every operation that involves traces.
@@ -12,6 +14,7 @@ r is passed explicitly to every operation that involves traces.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,9 +24,7 @@ from .ntheory import factorize, is_prime, mobius, squarefree_divisors, euler_phi
 from .ratfunc import POLE, RationalFunction, eval_rational
 
 __all__ = [
-    "INDICATOR_TOL",
     "LAB_CAP",
-    "sum_tolerance",
     "theta",
     "characters_of_order",
     "canonical_additive",
@@ -37,13 +38,7 @@ __all__ = [
     "verify_lemma33",
 ]
 
-INDICATOR_TOL = 1e-6
 LAB_CAP = 1 << 14
-
-
-def sum_tolerance(Q: int, n_summands: int) -> float:
-    """Accumulated-rounding allowance for sum comparisons."""
-    return 1e-6 * math.sqrt(Q) * math.sqrt(max(n_summands, 1))
 
 
 def theta(u: int) -> float:
@@ -51,8 +46,8 @@ def theta(u: int) -> float:
 
 
 class _Lab:
-    """Roots of unity, the subfield and the two indicator expansions (rho by
-    discrete log, shifted tau) for one (ctx, r)."""
+    """F_ell and its roots of unity, the subfield and the two indicator
+    expansions (rho by discrete log, shifted tau) for one (ctx, r)."""
 
     def __init__(self, ctx: FieldCtx, r: int):
         if ctx.Q > LAB_CAP:
@@ -62,57 +57,69 @@ class _Lab:
         self.p = ctx.q ** r
         self.t = ctx.m // r
         n = ctx.Q - 1
-        self.mult_roots = [cmath.exp(2j * cmath.pi * k / n) for k in range(n)]
-        self.add_roots = [cmath.exp(2j * cmath.pi * k / ctx.q) for k in range(ctx.q)]
+        order = ctx.q * n
+        self.ell = ell = next(e for e in itertools.count(order + 1, order)
+                              if is_prime(e))
+        # z has exact order `order` iff z^(order/f) != 1 for each prime f | order
+        powers = (pow(c, (ell - 1) // order, ell) for c in itertools.count(2))
+        z = next(z for z in powers if all(pow(z, order // f, ell) != 1
+                                          for f in (ctx.q, *ctx.order_facts.primes())))
+        self.mult_roots = [pow(z, ctx.q * k, ell) for k in range(n)]
+        self.add_roots = [pow(z, n * k, ell) for k in range(ctx.q)]
+        self.inv_p = pow(self.p, -1, ell)
         self.subfield = ctx.subfield_elements(r)
         # Tr_{F_Q/F_p}(w) = 1, so Tr_{F_p/F_q}(z) = Tr_{F_Q/F_q}(z w) on F_p
         self.w = next(x for x in ctx.elements() if ctx.trace_rel(x, r) == ctx.one)
-        self._weights: dict[int, list[complex]] = {}
+        self._weights: dict[int, list[int]] = {}
 
-    def log(self, x: FieldElement) -> int:
-        return self.ctx.discrete_log(x)
-
-    def weights(self, k: int) -> list[complex]:
+    def weights(self, k: int) -> list[int]:
         """The k-free indicator by discrete log j: theta(k) times the sum over
         squarefree s | k and characters of exact order s of
-        mu(s)/phi(s) * chi(g^j).  Built once per k."""
+        mu(s)/phi(s) * chi(g^j), mod ell.  Built once per k."""
         out = self._weights.get(k)
         if out is None:
-            n = self.ctx.Q - 1
-            roots = self.mult_roots
-            out = [0.0 + 0.0j] * n
+            n, ell, roots = self.ctx.Q - 1, self.ell, self.mult_roots
+            out = [0] * n
             for s in squarefree_divisors(factorize(k)):
-                w = mobius(s) / euler_phi(factorize(s))
-                for mhat in characters_of_order(self.ctx, s):
-                    out = [o + w * roots[j * mhat % n] for j, o in enumerate(out)]
-            th = theta(k)
-            out = self._weights[k] = [th * o for o in out]
+                w = mobius(s) * pow(euler_phi(factorize(s)), -1, ell)
+                chars = characters_of_order(self.ctx, s)
+                # j -> cj with c prime to s permutes these characters, so
+                # their sum at g^j depends only on gcd(j, s)
+                by_gcd = {d: sum(roots[d * mhat % n] for mhat in chars)
+                          for d in squarefree_divisors(factorize(s))}
+                out = [o + w * by_gcd[math.gcd(j, s)] for j, o in enumerate(out)]
+            th = euler_phi(factorize(k)) * pow(k, -1, ell)
+            out = self._weights[k] = [th * o % ell for o in out]
         return out
 
-    def chi(self, mhat: int, x: FieldElement) -> complex:
+    def chi(self, mhat: int, x: FieldElement) -> int:
         if x.is_zero():
             raise ZeroElement("multiplicative character at zero")
-        return self.mult_roots[self.log(x) * mhat % (self.ctx.Q - 1)]
+        return self.mult_roots[self.ctx.discrete_log(x) * mhat % (self.ctx.Q - 1)]
 
-    def psi_hat0(self, x: FieldElement) -> complex:
-        """Canonical additive character of the big field."""
-        return self.add_roots[self.ctx.trace_rel(x, 1)]
-
-    def psi0_sub(self, z: FieldElement) -> complex:
-        """Canonical additive character of the subfield F_p at z in F_p."""
+    def sub_trace(self, z: FieldElement) -> int:
+        """Tr_{F_p/F_q}(z) for z in F_p, the index of psi0_sub(z)."""
         if not self.ctx.in_subfield(z, self.r):
             raise NotInSubfield(f"element index {self.ctx.to_index(z)} "
                                 f"not fixed by Frobenius^{self.r}")
-        return self.psi_hat0(self.ctx.mul(z, self.w))
+        return self.ctx.trace_rel(self.ctx.mul(z, self.w), 1)
 
-    def tau(self, a: FieldElement, x: FieldElement) -> complex:
+    def psi_hat0(self, x: FieldElement) -> int:
+        """Canonical additive character of the big field."""
+        return self.add_roots[self.ctx.trace_rel(x, 1)]
+
+    def psi0_sub(self, z: FieldElement) -> int:
+        """Canonical additive character of the subfield F_p at z in F_p."""
+        return self.add_roots[self.sub_trace(z)]
+
+    def tau(self, a: FieldElement, x: FieldElement) -> int:
         """Indicator of Tr(x) = a in shifted-canonical form:
         (1/p) * sum over u in F_p of psi_hat0(u x) * psi0(-u a)."""
         ctx = self.ctx
         return sum(
             self.psi_hat0(ctx.mul(u, x)) * self.psi0_sub(ctx.neg(ctx.mul(u, a)))
             for u in self.subfield
-        ) / self.p
+        ) * self.inv_p % self.ell
 
 
 def _lab(ctx: FieldCtx, r: int) -> _Lab:
@@ -141,32 +148,31 @@ def characters_of_order(ctx: FieldCtx, s: int) -> list[int]:
     return [step * c % n for c in range(1, s + 1) if math.gcd(c, s) == 1]
 
 
-def canonical_additive(ctx: FieldCtx, eps: FieldElement, r: int = 1) -> complex:
+def canonical_additive(ctx: FieldCtx, eps: FieldElement, r: int = 1) -> int:
     return _lab(ctx, r).psi_hat0(eps)
 
 
-def rho_indicator(ctx: FieldCtx, u: int, eps: FieldElement, r: int = 1) -> complex:
-    """Indicator of u-free units, via the explicit character expansion."""
+def rho_indicator(ctx: FieldCtx, u: int, eps: FieldElement, r: int = 1) -> int:
+    """Indicator of u-free units, via the explicit character expansion: 0 or 1."""
     if eps.is_zero():
         raise ZeroElement("rho is defined on units")
     if (ctx.Q - 1) % u != 0:
         raise NotADivisor(f"{u} does not divide {ctx.Q - 1}")
     lab = _lab(ctx, r)
-    return lab.weights(u)[lab.log(eps)]
+    return lab.weights(u)[ctx.discrete_log(eps)]
 
 
-def tau_indicator(ctx: FieldCtx, a: FieldElement, eps: FieldElement, r: int) -> complex:
-    """Indicator of Tr(eps) = a; evaluates both the direct form and the
-    shifted-canonical form and checks they agree."""
+def tau_indicator(ctx: FieldCtx, a: FieldElement, eps: FieldElement, r: int) -> int:
+    """Indicator of Tr(eps) = a, 0 or 1; evaluates both the direct form and
+    the shifted-canonical form and checks they agree."""
     lab = _lab(ctx, r)
     if not ctx.in_subfield(a, r):
         raise NotInSubfield("a must lie in the subfield")
-    p = lab.p
-    tr = ctx.trace_rel(eps, r)
-    diff = ctx.sub(tr, a)
-    direct = sum(lab.psi0_sub(ctx.mul(u, diff)) for u in lab.subfield) / p
+    diff = ctx.sub(ctx.trace_rel(eps, r), a)
+    direct = (sum(lab.psi0_sub(ctx.mul(u, diff)) for u in lab.subfield)
+              * lab.inv_p % lab.ell)
     shifted = lab.tau(a, eps)
-    if abs(direct - shifted) > sum_tolerance(ctx.Q, p):
+    if direct != shifted:
         raise AssertionError(
             f"additive-character forms disagree: {direct} vs {shifted}")
     return shifted
@@ -182,19 +188,20 @@ def char_sum_chi(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
     if n % s1 or n % s2:
         raise NotADivisor("character orders must divide Q - 1")
     mhat1, mhat2 = n // s1, n // s2
+    add_roots = [cmath.exp(2j * cmath.pi * k / ctx.q) for k in range(ctx.q)]
     # per-eps data reused across the (u, v) loop
     rows = []
     for eps, eps0 in _outside_Pp(ctx, f):
-        chi_part = lab.mult_roots[(lab.log(eps) * mhat1 + lab.log(eps0) * mhat2) % n]
-        rows.append((eps, eps0, chi_part))
+        k = (ctx.discrete_log(eps) * mhat1 + ctx.discrete_log(eps0) * mhat2) % n
+        rows.append((eps, eps0, cmath.exp(2j * cmath.pi * k / n)))
     total = 0.0 + 0.0j
     for u in lab.subfield:
         for v in lab.subfield:
-            w = lab.psi0_sub(ctx.neg(ctx.add(ctx.mul(a, u), ctx.mul(b, v))))
+            w = add_roots[lab.sub_trace(ctx.neg(ctx.add(ctx.mul(a, u), ctx.mul(b, v))))]
             inner = 0.0 + 0.0j
             for eps, eps0, chi_part in rows:
                 add_arg = ctx.add(ctx.mul(u, eps), ctx.mul(v, eps0))
-                inner += chi_part * lab.psi_hat0(add_arg)
+                inner += chi_part * add_roots[ctx.trace_rel(add_arg, 1)]
             total += w * inner
     return total
 
@@ -205,8 +212,8 @@ def count_A_direct(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
     """|{eps outside P' : eps k1-free, f(eps) k2-free, Tr(eps)=a, Tr(f(eps))=b}|.
 
     Optionally re-derives the count through the character-sum expansion and
-    asserts agreement."""
-    lab = _lab(ctx, r)
+    checks agreement; both are below ell, so agreement mod ell is equality."""
+    _lab(ctx, r)          # the lab's size cap and subfield checks hold here too
     n = ctx.Q - 1
     if n % k1 or n % k2:
         raise NotADivisor("k1, k2 must divide Q - 1")
@@ -219,26 +226,25 @@ def count_A_direct(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
         count += 1
     if check_expansion:
         expansion = _count_A_expansion(ctx, f, a, b, k1, k2, r)
-        tol = sum_tolerance(ctx.Q, lab.p ** 2 * ctx.Q)
-        if abs(expansion - count) > tol:
+        if expansion != count:
             raise AssertionError(
                 f"direct count {count} != expansion {expansion}")
     return count
 
 
 def _count_A_expansion(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
-                       b: FieldElement, k1: int, k2: int, r: int) -> complex:
-    """The full character-sum expansion, with the sums over character pairs
-    and (u, v) regrouped per eps (an exact reordering of finite sums).  Uses
-    only character arithmetic, never the boolean freeness/trace tests."""
+                       b: FieldElement, k1: int, k2: int, r: int) -> int:
+    """The full character-sum expansion mod ell, with the sums over character
+    pairs and (u, v) regrouped per eps (an exact reordering of finite sums).
+    Uses only character arithmetic, never the boolean freeness/trace tests."""
     lab = _lab(ctx, r)
     rho1 = lab.weights(k1)
     rho2 = lab.weights(k2)
-    total = 0.0 + 0.0j
+    total = 0
     for eps, eps0 in _outside_Pp(ctx, f):
-        total += (rho1[lab.log(eps)] * rho2[lab.log(eps0)]
+        total += (rho1[ctx.discrete_log(eps)] * rho2[ctx.discrete_log(eps0)]
                   * lab.tau(a, eps) * lab.tau(b, eps0))
-    return total
+    return total % lab.ell
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .bounds import (
     table1_row,
 )
 from .charsum import (
-    INDICATOR_TOL,
     char_sum_chi,
     count_A_direct,
     rho_indicator,
@@ -275,22 +274,17 @@ def _lab_field(args):
 
 
 def _suite_indicators(ctx, rng, r, samples):
-    mismatches = 0
-    checked = 0
-    prime_us = list(ctx.order_facts.primes())
-    for u in prime_us + [ctx.Q - 1]:
+    mismatches = checked = 0
+    for u in list(ctx.order_facts.primes()) + [ctx.Q - 1]:
         for eps in ctx.units():
             checked += 1
-            truth = 1.0 if ctx.is_ufree(eps, u) else 0.0
-            if abs(rho_indicator(ctx, u, eps, r) - truth) > INDICATOR_TOL:
-                mismatches += 1
-    subfield = ctx.subfield_elements(r)
-    for a in subfield:
+            truth = 1 if ctx.is_ufree(eps, u) else 0
+            mismatches += rho_indicator(ctx, u, eps, r) != truth
+    for a in ctx.subfield_elements(r):
         for eps in ctx.elements():
             checked += 1
-            truth = 1.0 if ctx.trace_rel(eps, r) == a else 0.0
-            if abs(tau_indicator(ctx, a, eps, r) - truth) > INDICATOR_TOL:
-                mismatches += 1
+            truth = 1 if ctx.trace_rel(eps, r) == a else 0
+            mismatches += tau_indicator(ctx, a, eps, r) != truth
     return {"checked": checked, "mismatches": mismatches}, mismatches == 0
 
 
@@ -301,6 +295,8 @@ def _suite_weil(ctx, rng, r, samples):
     violations = []
     records = []
     divisors = sorted(d for d in range(2, ctx.Q) if (ctx.Q - 1) % d == 0)
+    if not divisors:
+        raise NotADivisor(f"Q - 1 = {ctx.Q - 1} has no character order >= 2")
     for _ in range(samples):
         n1, n2 = rng.choice([(1, 1), (2, 1), (1, 2), (2, 2)])
         f = sample_rational(ctx, n1, n2, rng)
@@ -334,6 +330,8 @@ def _suite_expansion(ctx, rng, r, samples):
 def _suite_lemma32(ctx, rng, r, samples):
     subfield = ctx.subfield_elements(r)
     primes = list(ctx.order_facts.primes())
+    if not primes:
+        raise NotADivisor(f"Q - 1 = {ctx.Q - 1} has no prime divisor m")
     out = []
     ok = True
     for _ in range(samples):
@@ -381,6 +379,8 @@ _SUITES = {
 
 
 def _cmd_charsum_lab(args) -> int:
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     ctx, rng = _lab_field(args)
     report, ok = _SUITES[args.suite](ctx, rng, args.r, args.samples)
     _emit({

@@ -131,6 +131,8 @@ def sample_rational(ctx: FieldCtx, n1: int, n2: int, rng, *,
         raise ValueError("degsum must be >= 1")
     if (n1 == 0 or n2 == 0) and not allow_constant:
         raise ValueError("degree-0 classes need allow_constant=True")
+    if n1 == n2 and num_monic_irreducible(ctx.Q, n1) < 2:
+        raise EmptyClass(f"class ({n1}, {n2}) is empty over GF({ctx.Q})")
     while True:
         num = poly_one(ctx) if n1 == 0 else _random_monic_irreducible(ctx, n1, rng)
         den = poly_one(ctx) if n2 == 0 else _random_monic_irreducible(ctx, n2, rng)
@@ -165,7 +167,7 @@ def enumerate_rationals(ctx: FieldCtx, n1: int, n2: int, *,
         raise ValueError("degree-0 classes need allow_constant=True")
     cnt1 = 1 if n1 == 0 else num_monic_irreducible(ctx.Q, n1)
     cnt2 = 1 if n2 == 0 else num_monic_irreducible(ctx.Q, n2)
-    est = (ctx.Q - 1) * cnt1 * cnt2
+    est = (ctx.Q - 1) * cnt1 * (cnt2 - (n1 == n2))     # num != den
     if est > cap:
         raise EnumerationTooLarge(f"~{est} functions exceeds cap {cap}")
     if est == 0:

@@ -27,7 +27,6 @@ from primpair.bounds import (
     window_threshold,
 )
 from primpair.charsum import (
-    INDICATOR_TOL,
     char_sum_chi,
     count_A_direct,
     rho_indicator,
@@ -301,12 +300,12 @@ class TestCriterion8CharacterSums:
         ctx = make_field(q, m)
         for u in list(ctx.order_facts.primes()) + [ctx.Q - 1]:
             for eps in ctx.units():
-                truth = 1.0 if ctx.is_ufree(eps, u) else 0.0
-                assert abs(rho_indicator(ctx, u, eps) - truth) <= INDICATOR_TOL
+                truth = 1 if ctx.is_ufree(eps, u) else 0
+                assert rho_indicator(ctx, u, eps) == truth
         for a in ctx.subfield_elements(1):
             for eps in ctx.elements():
-                truth = 1.0 if ctx.trace_rel(eps, 1) == a else 0.0
-                assert abs(tau_indicator(ctx, a, eps, 1) - truth) <= INDICATOR_TOL
+                truth = 1 if ctx.trace_rel(eps, 1) == a else 0
+                assert tau_indicator(ctx, a, eps, 1) == truth
 
     @pytest.mark.parametrize("q,m", LAB_FIELDS)
     def test_expansion_identity_sampled(self, q, m):
@@ -320,7 +319,6 @@ class TestCriterion8CharacterSums:
             a, b = rng.choice(subfield), rng.choice(subfield)
             k1, k2 = rng.choice(divisors), rng.choice(divisors)
             # raises internally when direct count and expansion disagree
-            # beyond the accumulated-rounding tolerance
             count_A_direct(ctx, f, a, b, k1, k2, 1, check_expansion=True)
 
     @pytest.mark.parametrize("q,m", LAB_FIELDS)

@@ -8,7 +8,6 @@ import weakref
 import pytest
 
 from primpair.charsum import (
-    INDICATOR_TOL,
     Lemma33Report,
     _lab,
     _outside_Pp,
@@ -17,7 +16,6 @@ from primpair.charsum import (
     characters_of_order,
     count_A_direct,
     rho_indicator,
-    sum_tolerance,
     tau_indicator,
     theta,
     verify_lemma32,
@@ -25,7 +23,7 @@ from primpair.charsum import (
 )
 from primpair.errors import NotADivisor, NotInSubfield, ZeroElement
 from primpair.ffield import make_field
-from primpair.ntheory import euler_phi, factorize
+from primpair.ntheory import euler_phi, factorize, mobius
 from primpair.ratfunc import (
     Poly,
     RationalFunction,
@@ -76,35 +74,34 @@ class TestCharacters:
 
     def test_multiplicativity(self, gf27):
         mhat = characters_of_order(gf27, 13)[0]
-        n = gf27.Q - 1
         rng = random.Random(0)
-        from primpair.charsum import _lab
         lab = _lab(gf27, 1)
         for _ in range(30):
             x = gf27.from_index(rng.randrange(1, 27))
             y = gf27.from_index(rng.randrange(1, 27))
             lhs = lab.chi(mhat, gf27.mul(x, y))
-            rhs = lab.chi(mhat, x) * lab.chi(mhat, y)
-            assert abs(lhs - rhs) < 1e-9
+            rhs = lab.chi(mhat, x) * lab.chi(mhat, y) % lab.ell
+            assert lhs == rhs
 
     def test_additive_character_homomorphism(self, gf27):
         rng = random.Random(1)
+        ell = _lab(gf27, 1).ell
         for _ in range(30):
             x = gf27.from_index(rng.randrange(27))
             y = gf27.from_index(rng.randrange(27))
             lhs = canonical_additive(gf27, gf27.add(x, y))
-            rhs = canonical_additive(gf27, x) * canonical_additive(gf27, y)
-            assert abs(lhs - rhs) < 1e-9
+            rhs = canonical_additive(gf27, x) * canonical_additive(gf27, y) % ell
+            assert lhs == rhs
 
     def test_additive_orthogonality(self, gf25):
         total = sum(canonical_additive(gf25, x) for x in gf25.elements())
-        assert abs(total) < sum_tolerance(25, 25)
+        assert total % _lab(gf25, 1).ell == 0
 
     def test_multiplicative_orthogonality(self, gf25):
         lab = _lab(gf25, 1)
         mhat = characters_of_order(gf25, 3)[0]
         total = sum(lab.chi(mhat, x) for x in gf25.units())
-        assert abs(total) < sum_tolerance(25, 24)
+        assert total % lab.ell == 0
 
 
 class TestLab:
@@ -163,9 +160,25 @@ class TestRhoIndicator:
         us = list(ctx.order_facts.primes()) + [ctx.Q - 1]
         for u in us:
             for eps in ctx.units():
-                truth = 1.0 if ctx.is_ufree(eps, u) else 0.0
-                val = rho_indicator(ctx, u, eps)
-                assert abs(val - truth) <= INDICATOR_TOL
+                truth = 1 if ctx.is_ufree(eps, u) else 0
+                assert rho_indicator(ctx, u, eps) == truth
+
+    @pytest.mark.parametrize("fixture", ["gf128", "gf27", "gf25"])
+    def test_weights_match_per_character_loop(self, fixture, request):
+        # the reference adds every character of every squarefree order s | k
+        # at every slot j; weights() adds one sum per gcd(j, s) class
+        ctx = request.getfixturevalue(fixture)
+        lab = _lab(ctx, 1)
+        n, ell = ctx.Q - 1, lab.ell
+        for k in (d for d in range(1, n + 1) if n % d == 0):
+            ref = [0] * n
+            for s in (d for d in range(1, k + 1) if k % d == 0 and mobius(d)):
+                w = mobius(s) * pow(euler_phi(factorize(s)), -1, ell)
+                for mhat in characters_of_order(ctx, s):
+                    ref = [(o + w * lab.mult_roots[j * mhat % n]) % ell
+                           for j, o in enumerate(ref)]
+            th = euler_phi(factorize(k)) * pow(k, -1, ell)
+            assert lab.weights(k) == [th * o % ell for o in ref]
 
     def test_zero_rejected(self, gf27):
         with pytest.raises(ZeroElement):
@@ -178,9 +191,79 @@ class TestTauIndicator:
         ctx = make_field(q, m)
         for a in ctx.subfield_elements(r):
             for eps in ctx.elements():
-                truth = 1.0 if ctx.trace_rel(eps, r) == a else 0.0
-                val = tau_indicator(ctx, a, eps, r)
-                assert abs(val - truth) <= INDICATOR_TOL
+                truth = 1 if ctx.trace_rel(eps, r) == a else 0
+                assert tau_indicator(ctx, a, eps, r) == truth
+
+
+class TestExactChecks:
+    """GF(2^14), n = Q - 1 = 16383 = 3 * 43 * 127: one root of unity off in
+    one table slot is caught, where a complex sum within 1e-6 of the truth
+    would have hidden it."""
+
+    @pytest.fixture(scope="class")
+    def gf16384(self):
+        return make_field(2, 14)
+
+    def test_one_mult_root_off(self, gf16384, monkeypatch):
+        ctx = gf16384
+        n = ctx.Q - 1
+        lab = _lab(ctx, 1)
+        primitive = {eps for eps in ctx.units() if ctx.is_primitive(eps)}
+        for eps in ctx.units():
+            assert rho_indicator(ctx, n, eps) == (eps in primitive)
+        # slot 1 holds the next root of unity; only the character
+        # chi(g^j) = zeta^j of exact order n reads it, at every primitive
+        # g^j, with weight theta(n) mu(n) / phi(n) = mu(n) / n
+        roots = list(lab.mult_roots)
+        roots[1] = roots[2]
+        monkeypatch.setattr(lab, "mult_roots", roots)
+        monkeypatch.setattr(lab, "_weights", {})
+        wrong = {eps for eps in ctx.units()
+                 if rho_indicator(ctx, n, eps) != (eps in primitive)}
+        assert wrong == primitive
+        # the same slip in complex floats moves each value by 2 sin(pi/n) / n
+        shift = abs(mobius(n) / n * (cmath.exp(2j * cmath.pi * 2 / n)
+                                     - cmath.exp(2j * cmath.pi * 1 / n)))
+        assert 2e-8 < shift < 1e-6
+
+    def test_one_add_root_off(self, gf16384, monkeypatch):
+        ctx = gf16384
+        lab = _lab(ctx, 1)
+        roots = list(lab.add_roots)
+        roots[1] = roots[0]             # the next root of order q = 2
+        monkeypatch.setattr(lab, "add_roots", roots)
+        rng = random.Random(6)
+        for _ in range(20):
+            eps = ctx.from_index(rng.randrange(ctx.Q))
+            tr = ctx.trace_rel(eps, 1)
+            assert tau_indicator(ctx, tr, eps, 1) == 1
+            # psi is now trivial, so Tr(eps) = a + 1 reads as Tr(eps) = a
+            assert tau_indicator(ctx, ctx.add(tr, ctx.one), eps, 1) != 0
+
+    def test_expansion_check_raises(self, gf27, monkeypatch):
+        # count_A_direct's own check sees a slot off by one root: f = 1/x
+        # maps primitive elements to primitive ones, so the expansion moves
+        # by count * (2 delta + delta^2) for the shift delta of rho_26
+        f = _inverse_map(gf27)
+        sub = gf27.subfield_elements(1)
+        a, b = next((a, b) for a in sub for b in sub
+                    if count_A_direct(gf27, f, a, b, 26, 26, 1) > 0)
+        lab = _lab(gf27, 1)
+        roots = list(lab.mult_roots)
+        roots[1] = roots[2]
+        monkeypatch.setattr(lab, "mult_roots", roots)
+        monkeypatch.setattr(lab, "_weights", {})
+        with pytest.raises(AssertionError, match="expansion"):
+            count_A_direct(gf27, f, a, b, 26, 26, 1)
+
+    def test_tau_forms_check_raises(self, gf27, monkeypatch):
+        # with Tr(w) = 2 in place of 1, the shifted form tests Tr(x) = 2a
+        # while the direct form still tests Tr(x) = a
+        lab = _lab(gf27, 1)
+        monkeypatch.setattr(lab, "w", gf27.add(lab.w, lab.w))
+        eps = next(x for x in gf27.elements() if gf27.trace_rel(x, 1) == gf27.one)
+        with pytest.raises(AssertionError, match="forms disagree"):
+            tau_indicator(gf27, gf27.one, eps, 1)
 
 
 class TestCountA:

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,13 +13,25 @@ import pytest
 import primpair
 from primpair.bounds import check_thm34
 from primpair.cli import main
+from primpair.ffield import make_field
 from primpair.ntheory import factor_prime_power_order
+from primpair.ratfunc import Poly, is_irreducible
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_subprocess(*argv):
+    """(exit code, stdout, stderr) of the CLI in a child process, which a
+    timeout stops if it hangs."""
+    src = os.path.dirname(os.path.dirname(primpair.__file__))
+    proc = subprocess.run([sys.executable, "-m", "primpair.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def _package_files() -> dict[str, tuple[int, int]]:
@@ -217,6 +232,43 @@ class TestWitness:
                         "--a", "1")
         assert (code, out) == (2, "")
 
+    def test_empty_class_exits_two(self):
+        # n = 4 samples the (2, 2) class; GF(2) has one monic irreducible
+        # quadratic, x^2 + x + 1, and num != den leaves nothing to sample
+        code, out, err = run_subprocess("witness", "--q", "2", "--t", "1",
+                                        "--n", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: class (2, 2) is empty over GF(2)\n"
+
+    def test_constant_side_class_degenerates(self, capsys):
+        # p = 4, t = 3: for irreducible g = x^2 + ux + v over GF(64) and
+        # scale c = u^-2, Tr(c g(eps)) = T^2 + T + Tr(cv) with T = Tr(eps/u),
+        # which takes 2 of the 4 values of GF(4).  So the (2, 0) function
+        # c g misses every pair (a, b) with b outside those two; the paper's
+        # n = 2 class is (1, 1), and this is not a counterexample to it.
+        ctx = make_field(2, 6)
+        sub = ctx.subfield_elements(2)
+        images = {}
+        for u in ctx.units():
+            c = ctx.inv(ctx.mul(u, u))
+            for v in ctx.elements():
+                if is_irreducible(ctx, Poly((v, u, ctx.one))):
+                    images[c, u, v] = {
+                        ctx.trace_rel(ctx.mul(c, ctx.add(ctx.mul(e, ctx.add(e, u)), v)), 2)
+                        for e in ctx.elements()}
+        assert len(images) == 2016
+        assert {len(image) for image in images.values()} == {2}
+        for (c, u, v), image in list(images.items())[::673]:
+            spec = f"{ctx.to_index(c)}:{ctx.to_index(v)},{ctx.to_index(u)},1:1"
+            code, out = run(capsys, "witness", "--q", "2", "--r", "2", "--t", "3",
+                            "--f", spec, "--exhaustive")
+            assert code == 1
+            results = json.loads(out)["results"]
+            assert len(results) == 16
+            for res in results:
+                if sub[res["b_index"]] not in image:
+                    assert res["status"] == "NoneExists" and res["definitive"]
+
 
 class TestCharsumLab:
     def test_indicators_pass(self, capsys):
@@ -232,6 +284,27 @@ class TestCharsumLab:
                         "--suite", "weil", "--samples", "5")
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_rejected(self, capsys, samples):
+        # a run that samples nothing would check nothing and still pass
+        code, out = run(capsys, "charsum-lab", "--q", "3", "--m", "3",
+                        "--suite", "weil", "--samples", samples)
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    @pytest.mark.parametrize("suite",
+                             ["indicators", "weil", "expansion", "lemma32", "lemma33"])
+    def test_gf2_suites_finish_without_traceback(self, suite, seed):
+        # on GF(2), Q - 1 = 1 has no prime and no divisor >= 2; a suite that
+        # needs one is a usage error, never a crash (exit 1 means a mismatch)
+        code, out, err = run_subprocess("--seed", seed, "charsum-lab", "--q", "2",
+                                        "--m", "1", "--suite", suite)
+        assert code in (0, 2), err
+        if code == 0:
+            assert json.loads(out)["passed"] is True
+        else:
+            assert out == "" and err.startswith("error: ")
 
     def test_float_formatting_stable(self, capsys):
         args = ("charsum-lab", "--q", "3", "--m", "3", "--suite", "weil",

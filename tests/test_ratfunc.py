@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primpair.errors import DegreeZero, EnumerationTooLarge
+from primpair.errors import DegreeZero, EmptyClass, EnumerationTooLarge
 from primpair.ffield import make_field
 from primpair.ratfunc import (
     POLE,
@@ -194,3 +194,36 @@ class TestEnumeration:
             assert f.num != f.den
             assert not f.scale.is_zero()
             assert f.num.is_monic(gf4) and f.den.is_monic(gf4)
+
+
+class _BoundedRandom(random.Random):
+    """A seeded rng that fails the test instead of drawing forever."""
+
+    def __init__(self, seed, draws):
+        super().__init__(seed)
+        self.draws = draws
+
+    def randrange(self, *args):
+        self.draws -= 1
+        if self.draws < 0:
+            pytest.fail("kept drawing from an empty class")
+        return super().randrange(*args)
+
+
+class TestEmptyClass:
+    """GF(2) has one monic irreducible quadratic, x^2 + x + 1, and num != den
+    leaves its (2, 2) class empty."""
+
+    def test_sample_raises(self):
+        ctx = make_field(2, 1)
+        with pytest.raises(EmptyClass, match=r"class \(2, 2\) is empty over GF\(2\)"):
+            sample_rational(ctx, 2, 2, _BoundedRandom(0, draws=10_000))
+
+    def test_enumerate_raises(self):
+        with pytest.raises(EmptyClass):
+            next(enumerate_rationals(make_field(2, 1), 2, 2))
+
+    def test_sample_nonempty_square_class(self):
+        # GF(2) has two monic irreducible cubics, so (3, 3) samples
+        f = sample_rational(make_field(2, 1), 3, 3, _BoundedRandom(0, draws=10_000))
+        assert (f.n1, f.n2) == (3, 3) and f.num != f.den
