@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -396,7 +397,9 @@ def _cmd_charsum_lab(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="primpair",
         description="Verification toolkit for primitive pairs of rational "

@@ -72,10 +72,30 @@ class Factorization:
 # ---------------------------------------------------------------------------
 # primality
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# Miller-Rabin with these bases is deterministic below this bound.
-_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
+# OEIS A014233: the least odd composite that is a strong pseudoprime to each
+# of the first k prime bases, for k = 1..13 (Jaeschke, Math. Comp. 61, 1993;
+# Sorenson and Webster, Math. Comp. 86, 2017).  Below its k-th entry, the
+# first k bases decide primality exactly.
+_MR_BOUNDS = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+
+# Miller-Rabin is deterministic below this bound.
+_DETERMINISTIC_LIMIT = _MR_BOUNDS[-1]
 
 # Random Miller-Rabin rounds above that bound, seeded by n.
 _MR_ROUNDS = 64
@@ -104,7 +124,8 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
     if n < _DETERMINISTIC_LIMIT:
-        return all(_miller_rabin(n, b) for b in _SMALL_PRIMES)
+        k = bisect.bisect_right(_MR_BOUNDS, n) + 1
+        return all(_miller_rabin(n, b) for b in _SMALL_PRIMES[:k])
     rng = random.Random(n)
     return all(_miller_rabin(n, rng.randrange(2, n - 1)) for _ in range(_MR_ROUNDS))
 
@@ -315,7 +336,7 @@ def factorize(n: int, effort: FactorEffort = FactorEffort()) -> Factorization:
     counts: dict[int, int] = {}
     composites: list[int] = []
     budget = effort.rho_iterations
-    rng = random.Random(n)
+    rng = None
 
     # trial division by blocks of primes, until the cofactor is 1 or prime;
     # a block whose gcd with m is 1 is skipped whole.  No isqrt(m) stop is
@@ -355,18 +376,15 @@ def factorize(n: int, effort: FactorEffort = FactorEffort()) -> Factorization:
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue
-        # perfect-power check keeps rho off p^k inputs; the least k with
-        # m a k-th power is prime, so only prime k are tried
-        handled = False
-        for k in primes_upto(m.bit_length() - 1):
-            root = integer_nth_root(m, k)
-            if root ** k == m:
-                composites.extend([root] * k)
-                handled = True
-                break
-        if handled:
+        # perfect-power check keeps rho off p^k inputs
+        power = _prime_degree_root(m)
+        if power is not None:
+            root, k = power
+            composites.extend([root] * k)
             continue
         found = next((h for h in _rho_hints() if 1 < h < m and m % h == 0), None)
+        if found is None and rng is None:
+            rng = random.Random(n)
         while found is None and budget > 0:
             found, used = _brent_rho(m, budget, rng)
             budget -= max(used, 1)
@@ -459,6 +477,17 @@ def squarefree_divisors(fac: Factorization) -> Iterator[int]:
     for p, _ in fac.factors:
         divs += [d * p for d in divs]
     yield from sorted(divs)
+
+
+def _prime_degree_root(m: int) -> tuple[int, int] | None:
+    """(root, k) with m = root^k for the least prime k, or None when m >= 2
+    is no perfect power.  The least k with m a k-th power is prime, so only
+    prime k are tried."""
+    for k in primes_upto(m.bit_length() - 1):
+        root = integer_nth_root(m, k)
+        if root ** k == m:
+            return root, k
+    return None
 
 
 def integer_nth_root(n: int, k: int) -> int:

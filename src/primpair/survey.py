@@ -27,9 +27,10 @@ from .ffield import FieldCtx, FieldElement, make_field
 from .ntheory import (
     FactorCache,
     FactorEffort,
+    _prime_degree_root,
     factor_prime_power_order,
-    factorize,
     integer_nth_root,
+    is_prime,
     primes_upto,
 )
 from .ratfunc import POLE, RationalFunction, eval_rational, sample_rational
@@ -114,10 +115,16 @@ def enumerate_prime_powers(p_max: int) -> list[int]:
 
 
 def _split_prime_power(p: int) -> tuple[int, int]:
-    fac = factorize(p)
-    if len(fac.factors) != 1:
-        raise ValueError(f"{p} is not a prime power")
-    return fac.factors[0]
+    """(q, r) with p = q^r and q prime; ValueError if p is no prime power."""
+    q, r = p, 1
+    while q > 1:
+        if is_prime(q):
+            return q, r
+        power = _prime_degree_root(q)
+        if power is None:
+            break
+        q, r = power[0], r * power[1]
+    raise ValueError(f"{p} is not a prime power")
 
 
 def classify(p: int, t: int, n: int = 2,

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import primpair
+from primpair import cli
 from primpair.bounds import check_thm34
 from primpair.cli import main
 from primpair.ffield import make_field
@@ -379,6 +380,38 @@ class TestCharsumLabBytes:
                         "--r", str(r), "--suite", suite, "--samples", "4")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == LAB_DIGESTS[key]
+
+
+class TestParserReuse:
+    """One parser serves every main() call of a process; no call's
+    arguments or errors reach the next."""
+
+    SIEVE = ("sieve", "--p", "8", "--t", "9")
+
+    @pytest.mark.parametrize("k_primes,code", [
+        (("3", "5"), 2),      # 3 does not divide 8^9 - 1
+        (("7", "73"), 0),
+    ])
+    def test_k_primes_do_not_leak(self, capsys, k_primes, code):
+        alone = run_subprocess("--cache", "", *self.SIEVE)
+        assert alone[0] == 0
+        assert json.loads(alone[1])["k_primes"] == []
+        first = run(capsys, "--cache", "", *self.SIEVE, "--k-primes", *k_primes)
+        assert first[0] == code
+        assert run(capsys, "--cache", "", *self.SIEVE) == alone[:2]
+
+    def test_usage_error_between_calls(self, capsys):
+        first = run(capsys, "--cache", "", *self.SIEVE)
+        with pytest.raises(SystemExit) as exc:
+            main(["sieve", "--p", "8"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, "--cache", "", *self.SIEVE) == first
+
+    def test_built_once(self, capsys):
+        run(capsys, "table1")
+        run(capsys, "lemma35")
+        assert cli._build_parser.cache_info().misses <= 1
 
 
 class TestUsageErrors:

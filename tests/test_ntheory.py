@@ -48,6 +48,55 @@ class TestIsPrime:
         assert is_prime(n) == sympy.isprime(n)
 
 
+# OEIS A014233, k = 1..13: the least odd composite that is a strong
+# pseudoprime to each of the first k prime bases.
+A014233 = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+class TestGradedMillerRabin:
+    def test_bound_table(self):
+        assert ntheory._MR_BOUNDS == A014233
+        assert ntheory._DETERMINISTIC_LIMIT == A014233[-1]
+        assert ntheory._SMALL_PRIMES == tuple(sympy.primerange(2, 42))
+
+    @pytest.mark.parametrize("k,n", list(enumerate(A014233, start=1)))
+    def test_terms_are_composite(self, k, n):
+        assert not sympy.isprime(n)
+        # n fools the first k - 1 bases, so is_prime must use the k-th too
+        assert all(ntheory._miller_rabin(n, b)
+                   for b in ntheory._SMALL_PRIMES[:k - 1])
+        assert not is_prime(n)
+
+    def test_twelve_base_pseudoprime(self):
+        # a strong pseudoprime to bases 2..37 that only base 41 exposes
+        n = 318665857834031151167461
+        assert n == 399165290221 * 798330580441
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("bound", sorted(set(A014233)))
+    def test_agrees_with_sympy_around_bound(self, bound):
+        for n in range(bound - 2000, bound + 2001):
+            assert is_prime(n) == sympy.isprime(n), n
+
+    def test_cache_primes_are_prime(self):
+        # every factor below the deterministic limit in the benchmark's
+        # warm cache, which this test only reads
+        primes = set()
+        with open(WARM_CACHE) as fh:
+            for line in fh:
+                fac = ntheory._parse_cache_line(line)
+                if fac is not None:
+                    primes.update(fac.primes())
+        primes = {q for q in primes if q < ntheory._DETERMINISTIC_LIMIT}
+        assert len(primes) > 1000
+        assert all(is_prime(q) and sympy.isprime(q) for q in primes)
+
+
 class TestPrimes:
     def test_primes_upto(self):
         assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

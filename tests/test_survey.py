@@ -2,17 +2,20 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from primpair.errors import OutOfScope
 from primpair.ffield import make_field
-from primpair.ntheory import FactorEffort
+from primpair.ntheory import FactorEffort, factorize
 from primpair.ratfunc import Poly, RationalFunction
 from primpair.survey import (
     SurveyStatus,
+    _split_prime_power,
     classify,
     enumerate_prime_powers,
     load_published_failing,
@@ -57,6 +60,53 @@ class TestEnumeration:
 
     def test_empty(self):
         assert enumerate_prime_powers(2) == []
+
+
+WARM_CACHE = (Path(__file__).resolve().parent.parent
+              / "perfbench" / "data" / "warm_factor_cache.txt")
+
+
+class TestSplitPrimePower:
+    def test_agrees_with_factorize(self):
+        for n in range(1, 20_001):
+            factors = factorize(n).factors
+            if len(factors) == 1:
+                assert _split_prime_power(n) == factors[0]
+            else:
+                with pytest.raises(ValueError):
+                    _split_prime_power(n)
+
+    @pytest.mark.parametrize("p,split", [
+        (2 ** 89, (2, 89)),
+        (3 ** 50, (3, 50)),
+        ((2 ** 61 - 1) ** 3, (2 ** 61 - 1, 3)),
+    ])
+    def test_large_powers(self, p, split):
+        assert _split_prime_power(p) == split
+
+    @pytest.mark.parametrize("p", [0, 1, -8, 36, 6 ** 5, 2 ** 61 * 3])
+    def test_rejects(self, p):
+        with pytest.raises(ValueError):
+            _split_prime_power(p)
+
+    def test_warm_survey_keeps_the_small_sieve(self, tmp_path):
+        # on a warm cache nothing factors, so the sieve stays at its minimum
+        cache = tmp_path / "cache.txt"
+        shutil.copyfile(WARM_CACHE, cache)
+        import primpair
+        src = os.path.dirname(os.path.dirname(primpair.__file__))
+        script = (
+            "import contextlib, io\n"
+            "from primpair import cli, ntheory\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main(['--cache', {str(cache)!r}, 'survey', '--t', '8'])\n"
+            "print(code, ntheory._sieve_limit)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", str(1 << 16)]
 
 
 class TestClassify:
