@@ -16,7 +16,7 @@ import random
 import threading
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 from .errors import FactorizationIncomplete
 
@@ -47,13 +47,13 @@ class Factorization:
     cofactor: int = 1
 
     def __post_init__(self):
-        prod = self.cofactor
+        prod, last = self.cofactor, 1
         for p, e in self.factors:
-            prod *= p ** e
+            if p <= last or e < 1:
+                raise ValueError("need increasing primes >= 2, exponents >= 1")
+            prod, last = prod * p ** e, p
         if prod != self.n:
             raise ValueError(f"factor product {prod} != {self.n}")
-        if list(self.factors) != sorted(self.factors):
-            raise ValueError("factors must be sorted ascending")
 
     @property
     def complete(self) -> bool:
@@ -133,6 +133,7 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # prime sieves
 
+_SIEVE_FLOOR = 1 << 16  # the first sieve list; it holds trial blocks 0..24
 _sieve_lock = threading.Lock()
 # Replaced by a longer list when the sieve grows, never mutated in place, so a
 # list a caller is walking stays valid while another thread grows the sieve.
@@ -155,7 +156,7 @@ def _sieve(limit: int) -> list[int]:
     global _sieve_primes, _sieve_limit
     with _sieve_lock:
         if limit > _sieve_limit:
-            _sieve_limit = max(limit, 2 * _sieve_limit, 1 << 16)
+            _sieve_limit = max(limit, 2 * _sieve_limit, _SIEVE_FLOOR)
             _sieve_primes = _eratosthenes(_sieve_limit)
         return _sieve_primes
 
@@ -182,29 +183,35 @@ def primes_window(i: int, j: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # factorization
 
+# Trial division takes the primes <= TRIAL_BOUND in blocks of _BLOCK
+# consecutive primes, one gcd against the block's product each.
+TRIAL_BOUND = 10 ** 6
+_BLOCK = 256
+
+
 @dataclass(frozen=True)
 class FactorEffort:
-    """Budget knobs for factorize()."""
+    """The rho budget of factorize(); the trial bound is fixed."""
 
-    trial_bound: int = 1_000_000
     rho_iterations: int = 5_000_000
+    trial_bound: ClassVar[int] = TRIAL_BOUND
 
 
 class FactorCache:
     """Append-only on-disk cache of complete factorizations, one line per n.
 
     Line format: ``n=<dec> factors=<p1^e1,...> cofactor=1 status=C``.
-    Loading only indexes the lines by their leading n field; ``get`` parses
-    the lines of one n on first use and keeps the first valid complete one,
-    skipping partial (``status=P``) and corrupt lines, which older files
-    may hold.  ``put`` appends a complete factorization whose n is not held
-    yet, under a lock.
+    Loading only indexes the lines by their first token; ``get(n)`` parses
+    the lines of token ``n=<n>`` on first use and keeps the first valid
+    complete one, skipping partial (``status=P``) and corrupt lines, which
+    older files may hold.  ``put`` appends a complete factorization whose n
+    is not held yet, under a lock.
     """
 
     def __init__(self, path):
         self.path = path
         self._lock = threading.RLock()
-        self._raw: dict[int, list[str]] = {}
+        self._raw: dict[str, list[str]] = {}
         self._mem: dict[int, Factorization] = {}
         self._load()
 
@@ -215,18 +222,13 @@ class FactorCache:
         except FileNotFoundError:
             return
         for line in lines:
-            head = line.split(None, 1)
-            if head and head[0].startswith("n="):
-                try:
-                    n = int(head[0][2:])
-                except ValueError:
-                    continue
-                self._raw.setdefault(n, []).append(line)
+            self._raw.setdefault(line.partition(" ")[0], []).append(line)
 
     def get(self, n: int) -> Factorization | None:
-        if n in self._raw:
+        key = f"n={n}"
+        if key in self._raw:
             with self._lock:
-                for line in self._raw.pop(n, ()):
+                for line in self._raw.pop(key, ()):
                     fac = _parse_cache_line(line)
                     if fac is not None and fac.complete and fac.n == n:
                         self._mem[n] = fac
@@ -302,18 +304,15 @@ def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int
     return None, used
 
 
-# Trial division takes the primes <= its bound in blocks of this many, one
-# gcd against the block's product each.
-_BLOCK = 256
-
-
 @functools.cache
-def _trial_block(bound: int, i: int) -> tuple[list[int], int]:
-    """The i-th block of consecutive primes <= bound (empty past the last
-    one) and their product.  Every sieve list holds the same primes <= bound,
-    so a block stays valid after the sieve grows."""
-    block = _sieve(bound)[i * _BLOCK : (i + 1) * _BLOCK]
-    block = block[: bisect.bisect_right(block, bound)]
+def _trial_block(i: int) -> tuple[list[int], int]:
+    """The i-th block of primes <= TRIAL_BOUND (empty past the last one) and
+    their product.  It grows the sieve only to the floor list when that holds
+    the block, else to TRIAL_BOUND; every list holds the same primes <= both."""
+    primes = _sieve(_SIEVE_FLOOR)
+    primes = primes if len(primes) >= (i + 1) * _BLOCK else _sieve(TRIAL_BOUND)
+    block = primes[i * _BLOCK : (i + 1) * _BLOCK]
+    block = block[: bisect.bisect_right(block, TRIAL_BOUND)]
     return block, math.prod(block)
 
 
@@ -346,7 +345,7 @@ def factorize(n: int, effort: FactorEffort = FactorEffort()) -> Factorization:
     m_prime = is_prime(m)
     i = 0
     while m > 1 and not m_prime:
-        block, product = _trial_block(effort.trial_bound, i)
+        block, product = _trial_block(i)
         if not block:
             break
         i += 1
@@ -457,6 +456,7 @@ def mobius(s: int) -> int:
     if s < 1:
         raise ValueError("mobius needs a positive integer")
     fac = factorize(s)
+    fac.require_complete()
     if any(e > 1 for _, e in fac.factors):
         return 0
     return -1 if len(fac.factors) % 2 else 1

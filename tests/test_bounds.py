@@ -105,10 +105,9 @@ class TestCheckThm31:
         assert rep.verdict is Verdict.PASS
 
     def test_unknown_on_partial(self):
-        facts = factor_prime_power_order(
-            10007, 7, effort=FactorEffort(trial_bound=10, rho_iterations=1))
-        assert not facts.complete
-        rep = check_thm31(10007, 7, 2, facts)
+        facts = factor_prime_power_order(43, 11, effort=FactorEffort(rho_iterations=1))
+        assert facts.cofactor == 22126041415981493
+        rep = check_thm31(43, 11, 2, facts)
         assert rep.verdict is Verdict.UNKNOWN
         assert (rep.W, rep.rhs) == (None, None)
 

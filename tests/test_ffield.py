@@ -120,7 +120,7 @@ class TestPackedElements:
     def test_add_sub_neg_digitwise(self, q, m):
         # additive arithmetic does not read the factorization of Q - 1
         ctx = make_field(q, m, table_cap=1,
-                         effort=FactorEffort(trial_bound=10, rho_iterations=1))
+                         effort=FactorEffort(rho_iterations=1))
         rng = random.Random(q * m)
         els = [ctx.zero, ctx.from_index(ctx.Q - 1)]
         els += [ctx.from_index(rng.randrange(ctx.Q)) for _ in range(10)]

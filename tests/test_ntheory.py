@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -12,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primpair import ntheory
+from primpair.bounds import Verdict, check_thm31
 from primpair.errors import FactorizationIncomplete
 from primpair.ntheory import (
+    TRIAL_BOUND,
     FactorCache,
     FactorEffort,
     Factorization,
@@ -173,11 +177,16 @@ class TestFactorize:
     def test_partial_on_tiny_budget(self):
         # product of two 16-digit primes; near-zero budget cannot split it
         n = 1000000000000037 * 1000000000000091
-        fac = factorize(n, effort=FactorEffort(trial_bound=100, rho_iterations=1))
+        fac = factorize(n, effort=FactorEffort(rho_iterations=1))
         assert not fac.complete
         assert fac.cofactor > 1
         with pytest.raises(FactorizationIncomplete):
             fac.require_complete()
+
+    def test_trial_bound_is_fixed(self):
+        assert FactorEffort().trial_bound == TRIAL_BOUND == 10 ** 6
+        with pytest.raises(TypeError):
+            FactorEffort(trial_bound=10)
 
 
 class TestTrialDivisionWalk:
@@ -213,17 +222,6 @@ class TestTrialDivisionWalk:
         fac = self._check(p ** t - 1)
         assert fac == factor_prime_power_order(p, t)
 
-    # Pinned values: the walk must stop at trial_bound = 10 although the
-    # module's sieve always reaches 2^16.
-    @pytest.mark.parametrize("n,factors,cofactor", [
-        (143, ((11, 1), (13, 1)), 1),
-        (2 * 3 * 101, ((2, 1), (3, 1), (101, 1)), 1),
-        (10007 ** 7 - 1, ((2, 1),), 5024551510067035151468126771),
-    ])
-    def test_trial_bound_below_sieve_minimum(self, n, factors, cofactor):
-        fac = factorize(n, effort=FactorEffort(trial_bound=10, rho_iterations=1))
-        assert (fac.factors, fac.cofactor) == (factors, cofactor)
-
 
 class TestFactorizationType:
     def test_validation_rejects_bad_product(self):
@@ -233,6 +231,17 @@ class TestFactorizationType:
     def test_validation_rejects_unsorted(self):
         with pytest.raises(ValueError):
             Factorization(15, ((5, 1), (3, 1)), 1)
+
+    @pytest.mark.parametrize("n,factors", [
+        (15, ((3, 1), (5, 1), (1000003, 0))),   # zero exponent
+        (15, ((1, 3), (3, 1), (5, 1))),         # 1, 0 and -1 are no primes
+        (0, ((0, 1),)),
+        (-15, ((-1, 1), (3, 1), (5, 1))),
+        (24, ((2, 1), (2, 2), (3, 1))),         # repeated prime
+    ])
+    def test_validation_rejects_a_bad_factor_list(self, n, factors):
+        with pytest.raises(ValueError):
+            Factorization(n, factors, 1)
 
 
 class TestCyclotomicSplit:
@@ -266,6 +275,12 @@ class TestArithmeticFunctions:
     def test_mobius_vs_sympy(self):
         for n in range(1, 300):
             assert mobius(n) == sympy.mobius(n)
+
+    def test_mobius_needs_a_complete_factorization(self, monkeypatch):
+        monkeypatch.setattr(ntheory, "_rho_hints", lambda: ())
+        monkeypatch.setattr(ntheory, "_brent_rho", _rho_finds_nothing)
+        with pytest.raises(FactorizationIncomplete):
+            mobius(1000003 * 1000033 * 1000037)
 
     def test_euler_phi_vs_sympy(self):
         for n in range(1, 300):
@@ -337,7 +352,7 @@ class TestFactorCache:
         assert first.complete
         # a hit must be returned even under a budget that cannot refactor
         again = factor_prime_power_order(
-            2, 89, effort=FactorEffort(trial_bound=2, rho_iterations=1), cache=cache)
+            2, 89, effort=FactorEffort(rho_iterations=1), cache=cache)
         assert again == first
 
 
@@ -403,6 +418,29 @@ class TestLazyFactorCache:
         path.write_text(corrupt + "\n# comment\nn=x\n"
                         "n=15 factors=3^1,5^1 cofactor=1 status=C\n")
         assert FactorCache(str(path)).get(15) == factorize(15)
+
+    def test_token_is_matched_as_written(self, tmp_path):
+        # the index key is the line's n= token, never int() of it
+        path = tmp_path / "cache.txt"
+        path.write_text("n=015 factors=3^1,5^1 cofactor=1 status=C\n")
+        assert FactorCache(str(path)).get(15) is None
+
+    @pytest.mark.parametrize("factors", [
+        "2^3,11^1,1000003^0,502628805631^1",    # zero exponent
+        "1^3,2^3,11^1,502628805631^1",          # 1 is no prime
+        "2^1,2^2,11^1,502628805631^1",          # repeated prime
+    ])
+    def test_bad_factor_list_is_a_miss(self, tmp_path, factors):
+        # 89^7 - 1 = 2^3 * 11 * 502628805631: omega 3 and W 8, where the
+        # line would give omega 4 and W 16 and turn Pass into Fail
+        n = 89 ** 7 - 1
+        path = tmp_path / "cache.txt"
+        path.write_text(f"n={n} factors={factors} cofactor=1 status=C\n")
+        cache = FactorCache(str(path))
+        assert cache.get(n) is None
+        fac = factor_prime_power_order(89, 7, cache=cache)
+        assert omega_and_W(fac) == (3, 8)
+        assert check_thm31(89, 7, 2, fac).verdict is Verdict.PASS
 
     def test_put_reads_back_from_a_fresh_cache(self, tmp_path):
         path = tmp_path / "cache.txt"
@@ -502,6 +540,10 @@ def _no_rho(*args):
     raise AssertionError("rho was called")
 
 
+def _rho_finds_nothing(m, budget, rng):
+    return None, budget
+
+
 class TestCyclotomicProgression:
     """p^t - 1, factored part by part through the cyclotomic split."""
 
@@ -520,10 +562,10 @@ class TestCyclotomicProgression:
         assert dict(fac.factors) == sympy.factorint(p ** t - 1)
 
 
-def _joined_blocks(bound):
+def _joined_blocks():
     joined = []
     for i in itertools.count():
-        block, product = ntheory._trial_block(bound, i)
+        block, product = ntheory._trial_block(i)
         if not block:
             return joined
         assert product == math.prod(block)
@@ -533,30 +575,48 @@ def _joined_blocks(bound):
 class TestTrialBlocks:
     def test_blocks_join_to_the_primes_upto_bound(self):
         ntheory._trial_block.cache_clear()
-        bounds = [2, 10, 2 ** 16, 10 ** 6]
-        for bound in bounds:
-            assert _joined_blocks(bound) == primes_upto(bound)
-        # a bound past the sieve limit grows the sieve; blocks built from
-        # the shorter list still hold the same primes
-        grown = 2 * ntheory._sieve_limit + 1
-        assert _joined_blocks(grown) == primes_upto(grown)
-        assert _joined_blocks(grown)[-1] > 10 ** 6
-        for bound in bounds:
-            assert _joined_blocks(bound) == primes_upto(bound)
+        assert _joined_blocks() == primes_upto(TRIAL_BOUND)
 
-    def test_grown_trial_bound_matches_sympy(self, monkeypatch):
-        grown = 2 * ntheory._sieve_limit + 1
-        big = FactorEffort(trial_bound=grown)
-        for p, t in [(12547, 7), (1013, 8), (7, 60)]:
-            fac = factor_prime_power_order(p, t, effort=big)
-            assert dict(fac.factors) == sympy.factorint(p ** t - 1)
-        # the two primes below the grown bound must come from trial division
+    def test_grown_sieve_leaves_blocks_and_factors(self, monkeypatch):
+        orders = [(12547, 7), (1013, 8), (7, 60)]
+        ntheory._trial_block.cache_clear()
+        blocks = _joined_blocks()
+        facs = [factor_prime_power_order(p, t) for p, t in orders]
+        primes_upto(2 * TRIAL_BOUND)
+        ntheory._trial_block.cache_clear()
+        assert _joined_blocks() == blocks
+        assert [factor_prime_power_order(p, t) for p, t in orders] == facs
+        # primes between the trial bound and the grown sieve are left to rho
         monkeypatch.setattr(ntheory, "_rho_hints", lambda: ())
-        monkeypatch.setattr(ntheory, "_brent_rho", _no_rho)
-        q1 = sympy.prevprime(grown + 1)
-        q2 = sympy.prevprime(q1)
-        n = q1 * q2 ** 2 * (10 ** 12 + 39)
-        assert dict(factorize(n, effort=big).factors) == sympy.factorint(n)
+        monkeypatch.setattr(ntheory, "_brent_rho", _rho_finds_nothing)
+        q1 = sympy.nextprime(TRIAL_BOUND)
+        q2 = sympy.prevprime(2 * TRIAL_BOUND)
+        n = 6 * q1 * q2
+        fac = factorize(n)
+        assert (fac.factors, fac.cofactor) == (((2, 1), (3, 1)), q1 * q2)
+
+    def test_small_factors_keep_the_floor_sieve(self):
+        # a fresh process, whose sieve no other test has grown; a full walk
+        # then builds the list up to the trial bound and no list between
+        import primpair
+        src = str(Path(primpair.__file__).resolve().parent.parent)
+        script = (
+            "from primpair import ntheory\n"
+            "built = []\n"
+            "real = ntheory._eratosthenes\n"
+            "ntheory._eratosthenes = lambda b: built.append(b) or real(b)\n"
+            "ntheory.factor_prime_power_order(2, 22)\n"
+            "ntheory.factorize(242)\n"
+            "print(ntheory._sieve_limit, built)\n"
+            "ntheory.factorize(1000003 * 1000033)\n"
+            "print(ntheory._sieve_limit, built)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "65536 [65536]", "1000000 [65536, 1000000]"]
 
     @pytest.mark.parametrize("n,blocks", [
         (2 ** 10 * 3, [0]),                              # cofactor 1
@@ -568,9 +628,9 @@ class TestTrialBlocks:
         walked = []
         real = ntheory._trial_block
 
-        def recording(bound, i):
+        def recording(i):
             walked.append(i)
-            return real(bound, i)
+            return real(i)
 
         monkeypatch.setattr(ntheory, "_trial_block", recording)
         assert dict(factorize(n).factors) == sympy.factorint(n)

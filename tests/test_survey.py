@@ -129,8 +129,8 @@ class TestClassify:
         assert classify(p, t, 2).status is status
 
     def test_unknown_on_partial(self):
-        rec = classify(1013, 8, 2,
-                       effort=FactorEffort(trial_bound=5, rho_iterations=1))
+        # 43^11 - 1 keeps the cofactor 22126041415981493 when rho is starved
+        rec = classify(43, 11, 2, effort=FactorEffort(rho_iterations=1))
         assert rec.status is SurveyStatus.UNKNOWN
         assert "partial" in rec.reason
 
@@ -188,10 +188,10 @@ class TestReproduce:
         assert len(diff.computed_failing) == 18
 
     def test_unknowns_never_dropped(self):
-        diff = reproduce_appendix(
-            11, effort=FactorEffort(trial_bound=3, rho_iterations=1))
+        diff = reproduce_appendix(11, effort=FactorEffort(rho_iterations=1))
         # with a starved budget some candidates must surface as unknown
         # rather than silently landing in either list
+        assert diff.unknown == (43,)
         assert set(diff.unknown).isdisjoint(diff.computed_failing)
         total = len(diff.unknown) + len(diff.records) - len(diff.unknown)
         assert total == len(diff.records)

@@ -27,18 +27,19 @@ n={b} factors=100000007^1,100000037^1,1000000007^1 cofactor=1 status=C
 n={c} factors=2^1,100000039^1 cofactor={big} status=P
 n={d} factors=100000049^1 cofactor=1 status=C
 n={a} factors=3^1,100000007^1 cofactor=1 status=C
+n={e} factors=100000073^1,1000000007^0 cofactor=1 status=C
 garbage
 """.format(a=3 * 100000007 * 1000000007,
            b=100000007 * 100000037 * 1000000007,
            c=2 * 100000039 * 1000000007 ** 2, big=1000000007 ** 2,
-           d=100000049)
+           d=100000049, e=100000073)
 
 
 def test_derive_on_a_synthetic_cache(tmp_path):
     cache = tmp_path / "cache.txt"
     cache.write_text(SYNTHETIC)
     # the largest prime of a complete line is no hint, nor is any prime of
-    # a partial or corrupt line
+    # a partial or corrupt line, such as one with a zero exponent
     assert tool.derive(SYNTHETIC.splitlines()) == [100000007, 100000037]
     out = tmp_path / "hints.txt"
     assert tool.main([str(cache), str(out)]) == 0
