@@ -39,7 +39,6 @@ from .ratfunc import (
     POLE,
     Poly,
     RationalFunction,
-    enumerate_rationals,
     eval_rational,
     sample_rational,
 )
@@ -64,8 +63,7 @@ __all__ = [
     "FieldCtx", "FieldElement", "make_field",
     "FactorCache", "FactorEffort", "Factorization",
     "factor_prime_power_order", "factorize", "is_prime",
-    "POLE", "Poly", "RationalFunction", "enumerate_rationals",
-    "eval_rational", "sample_rational",
+    "POLE", "Poly", "RationalFunction", "eval_rational", "sample_rational",
     "SurveyRecord", "SurveyStatus", "classify", "reproduce_appendix",
     "survey_range", "verify_membership_sample", "witness_search",
     "__version__",

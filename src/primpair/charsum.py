@@ -52,6 +52,7 @@ class _Lab:
     def __init__(self, ctx: FieldCtx, r: int):
         if ctx.Q > LAB_CAP:
             raise BudgetExceeded(f"field size {ctx.Q} above lab cap {LAB_CAP}")
+        ctx._check_subfield_degree(r)
         self.ctx = ctx
         self.r = r
         self.p = ctx.q ** r

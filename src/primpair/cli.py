@@ -203,7 +203,7 @@ def _parse_function(ctx, spec: str) -> RationalFunction:
     f = RationalFunction(ctx.from_index(int(s)),
                          Poly(tuple(ctx.from_index(int(c)) for c in num.split(","))),
                          Poly(tuple(ctx.from_index(int(c)) for c in den.split(","))))
-    _validate(ctx, f, allow_constant=True)
+    _validate(ctx, f)
     if f.degsum < 1:
         raise ValueError("degsum must be >= 1")
     if not all(is_irreducible(ctx, part) for part in (f.num, f.den) if part.degree):
@@ -223,7 +223,7 @@ def _cmd_witness(args) -> int:
     else:
         n1 = args.n - args.n // 2
         n2 = args.n // 2
-        f = sample_rational(ctx, n1, n2, rng, allow_constant=(n2 == 0))
+        f = sample_rational(ctx, n1, n2, rng)
     subfield = ctx.subfield_elements(args.r)
     if (args.a is None) != (args.b is None):
         raise ValueError("--a and --b go together")
@@ -290,9 +290,9 @@ def _suite_indicators(ctx, rng, r, samples):
 
 
 def _suite_weil(ctx, rng, r, samples):
+    subfield = ctx.subfield_elements(r)    # checks r before m // r
     p = ctx.q ** r
     t = ctx.m // r
-    subfield = ctx.subfield_elements(r)
     violations = []
     records = []
     divisors = sorted(d for d in range(2, ctx.Q) if (ctx.Q - 1) % d == 0)
@@ -465,7 +465,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NotADivisor, OutOfScope, ValueError) as exc:
+    except (NotADivisor, OutOfScope, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FactorizationIncomplete as exc:

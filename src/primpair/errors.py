@@ -29,10 +29,6 @@ class DegreeZero(PrimpairError):
     """Irreducibility is undefined for constant polynomials."""
 
 
-class EnumerationTooLarge(PrimpairError):
-    """Requested exhaustive enumeration exceeds the configured cap."""
-
-
 class EmptyClass(PrimpairError):
     """A rational-function class contains no members."""
 

@@ -390,6 +390,11 @@ class FieldCtx:
             acc = self.add(acc, cur)
         return acc
 
+    def _check_subfield_degree(self, r: int) -> None:
+        """GF(q^r) is a subfield of GF(q^m) exactly when r >= 1 divides m."""
+        if r < 1 or self.m % r:
+            raise BadSubfieldDegree(f"{r} is not a positive divisor of {self.m}")
+
     def _trace_columns(self, r: int) -> tuple[tuple[int, int], ...]:
         """(k, column k packed in reverse) for each coordinate k that Tr can
         make nonzero: slot m-1-i of column k is coordinate k of Tr(x^i), so
@@ -397,8 +402,7 @@ class FieldCtx:
         GF(q)-linear, and no slot of that product exceeds m*(q-1)^2."""
         cols = self.basis_traces.get(r)
         if cols is None:
-            if self.m % r != 0:
-                raise BadSubfieldDegree(f"{r} does not divide {self.m}")
+            self._check_subfield_degree(r)
             kernel = self._kernel
             images = (kernel.unpack(self._frobenius_trace(1 << i * kernel.w, r))
                       for i in range(self.m))
@@ -447,15 +451,13 @@ class FieldCtx:
         return math.gcd(u, (self.Q - 1) // self.element_order(eps)) == 1
 
     def in_subfield(self, x: FieldElement, r: int) -> bool:
-        if self.m % r != 0:
-            raise BadSubfieldDegree(f"{r} does not divide {self.m}")
+        self._check_subfield_degree(r)
         return self.pow(x, self.q ** r) == x
 
     def subfield_elements(self, r: int) -> list[FieldElement]:
         """The q^r elements fixed by x -> x^(q^r): zero, then powers of the
         subfield generator g^((Q-1)/(q^r-1))."""
-        if self.m % r != 0:
-            raise BadSubfieldDegree(f"{r} does not divide {self.m}")
+        self._check_subfield_degree(r)
         if self.generator is None:
             raise FactorizationIncomplete("subfield enumeration needs a generator")
         sub_order = self.q ** r - 1

@@ -141,23 +141,31 @@ _sieve_primes: list[int] = []
 _sieve_limit = 0
 
 
-def _eratosthenes(bound: int) -> list[int]:
-    """All primes <= bound, by the sieve of Eratosthenes."""
-    flags = bytearray([1]) * (bound + 1)
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(bound) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytes((bound - i * i) // i + 1)
-    return list(itertools.compress(range(bound + 1), flags))
+def _eratosthenes(known: list[int], bound: int) -> list[int]:
+    """All primes <= bound: known, every prime up to its last one lo, then
+    the primes in (lo, bound] by a sieve of that segment alone."""
+    lo = known[-1] if known else 1
+    flags = bytearray([1]) * (bound - lo)           # flags[k] is lo + 1 + k
+    root = math.isqrt(bound)
+    for i in itertools.chain(itertools.takewhile(lambda p: p <= root, known),
+                             range(lo + 1, root + 1)):
+        if i > lo and not flags[i - lo - 1]:
+            continue
+        start = max(i * i, (lo // i + 1) * i)
+        flags[start - lo - 1 :: i] = bytes((bound - start) // i + 1)
+    above = list(itertools.compress(range(lo + 1, bound + 1), flags))
+    del flags                   # freed first: the copy holds both lists
+    return known + above if known else above
 
 
 def _sieve(limit: int) -> list[int]:
-    """The module's prime list, grown to cover every prime <= limit."""
+    """The module's prime list, grown to cover every prime <= limit; a grown
+    list starts with the old one's int objects."""
     global _sieve_primes, _sieve_limit
     with _sieve_lock:
         if limit > _sieve_limit:
             _sieve_limit = max(limit, 2 * _sieve_limit, _SIEVE_FLOOR)
-            _sieve_primes = _eratosthenes(_sieve_limit)
+            _sieve_primes = _eratosthenes(_sieve_primes, _sieve_limit)
         return _sieve_primes
 
 

@@ -1,17 +1,15 @@
 """Rational functions num/den over GF(q^m), on ffield's polynomials.
 
 A RationalFunction is canonicalized as scale * (monic num / monic den) with
-num, den irreducible and coprime.  Degree-0 numerators or denominators (the
-"polynomial mode" classes) are only admitted when explicitly allowed, with
-the constant side fixed to 1.
+num, den irreducible and coprime.  A class is named by its degree pair
+(n1, n2); a 0 in it is a constant side, the monic constant 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
-from .errors import EmptyClass, EnumerationTooLarge
+from .errors import EmptyClass
 from .ffield import (
     FieldCtx,
     FieldElement,
@@ -35,7 +33,6 @@ __all__ = [
     "eval_rational",
     "zero_pole_set",
     "sample_rational",
-    "enumerate_rationals",
 ]
 
 
@@ -83,20 +80,14 @@ class RationalFunction:
         return self.n1 + self.n2
 
 
-def _validate(ctx: FieldCtx, f: RationalFunction, allow_constant: bool) -> None:
+def _validate(ctx: FieldCtx, f: RationalFunction) -> None:
+    """Nonzero scale, monic coprime sides; a monic constant side is 1."""
     if f.scale.is_zero():
         raise ValueError("scale must be nonzero")
-    for part in (f.num, f.den):
-        if not part.is_monic(ctx):
-            raise ValueError("num and den must be monic")
-        if part.degree == 0:
-            if not allow_constant:
-                raise ValueError("degree-0 side needs polynomial mode")
-            if part.coeffs[0] != ctx.one:
-                raise ValueError("constant side must be 1")
-    if f.num.degree >= 1 and f.den.degree >= 1:
-        if poly_gcd(ctx, f.num, f.den).degree != 0:
-            raise ValueError("num and den must be coprime")
+    if not (f.num.is_monic(ctx) and f.den.is_monic(ctx)):
+        raise ValueError("num and den must be monic")
+    if poly_gcd(ctx, f.num, f.den).degree != 0:
+        raise ValueError("num and den must be coprime")
 
 
 def eval_rational(ctx: FieldCtx, f: RationalFunction, eps: FieldElement):
@@ -124,13 +115,11 @@ def _random_monic_irreducible(ctx: FieldCtx, n: int, rng) -> Poly:
             return cand
 
 
-def sample_rational(ctx: FieldCtx, n1: int, n2: int, rng, *,
-                    allow_constant: bool = False) -> RationalFunction:
-    """Uniform over valid (scale, num, den) triples of the (n1, n2) class."""
-    if n1 + n2 < 1:
-        raise ValueError("degsum must be >= 1")
-    if (n1 == 0 or n2 == 0) and not allow_constant:
-        raise ValueError("degree-0 classes need allow_constant=True")
+def sample_rational(ctx: FieldCtx, n1: int, n2: int, rng) -> RationalFunction:
+    """Uniform over valid (scale, num, den) triples of the (n1, n2) class;
+    a degree 0 is the constant side 1."""
+    if min(n1, n2) < 0 or n1 + n2 < 1:
+        raise ValueError("degrees must be >= 0 and degsum >= 1")
     if n1 == n2 and num_monic_irreducible(ctx.Q, n1) < 2:
         raise EmptyClass(f"class ({n1}, {n2}) is empty over GF({ctx.Q})")
     while True:
@@ -140,44 +129,5 @@ def sample_rational(ctx: FieldCtx, n1: int, n2: int, rng, *,
             continue
         scale = ctx.from_index(rng.randrange(1, ctx.Q))
         f = RationalFunction(scale, num, den)
-        _validate(ctx, f, allow_constant)
+        _validate(ctx, f)
         return f
-
-
-def _monic_irreducibles(ctx: FieldCtx, n: int) -> Iterator[Poly]:
-    """Lexicographic by coefficient index vector (constant term fastest)."""
-    for idx in range(ctx.Q ** n):
-        coeffs = []
-        rem = idx
-        for _ in range(n):
-            coeffs.append(ctx.from_index(rem % ctx.Q))
-            rem //= ctx.Q
-        cand = Poly(tuple(coeffs) + (ctx.one,))
-        if is_irreducible(ctx, cand):
-            yield cand
-
-
-def enumerate_rationals(ctx: FieldCtx, n1: int, n2: int, *,
-                        allow_constant: bool = False,
-                        cap: int = 1_000_000) -> Iterator[RationalFunction]:
-    """Exhaustive, duplicate-free stream of the (n1, n2) class."""
-    if n1 + n2 < 1:
-        raise ValueError("degsum must be >= 1")
-    if (n1 == 0 or n2 == 0) and not allow_constant:
-        raise ValueError("degree-0 classes need allow_constant=True")
-    cnt1 = 1 if n1 == 0 else num_monic_irreducible(ctx.Q, n1)
-    cnt2 = 1 if n2 == 0 else num_monic_irreducible(ctx.Q, n2)
-    est = (ctx.Q - 1) * cnt1 * (cnt2 - (n1 == n2))     # num != den
-    if est > cap:
-        raise EnumerationTooLarge(f"~{est} functions exceeds cap {cap}")
-    if est == 0:
-        raise EmptyClass(f"class ({n1}, {n2}) is empty over GF({ctx.Q})")
-    nums = [poly_one(ctx)] if n1 == 0 else list(_monic_irreducibles(ctx, n1))
-    dens = [poly_one(ctx)] if n2 == 0 else list(_monic_irreducibles(ctx, n2))
-    for s_idx in range(1, ctx.Q):
-        scale = ctx.from_index(s_idx)
-        for num in nums:
-            for den in dens:
-                if n1 == n2 and num == den:
-                    continue
-                yield RationalFunction(scale, num, den)

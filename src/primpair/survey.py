@@ -309,22 +309,22 @@ class MembershipReport:
 
 def verify_membership_sample(p: int, t: int, n: int, num_functions: int,
                              seed: int, *,
-                             allow_constant: bool = True,
                              budget: int = 200_000) -> MembershipReport:
-    """Sample rational functions across all degree splits and look for a
-    witness for every prescribed trace pair."""
+    """Sample rational functions across the n + 1 degree splits (n1, n - n1),
+    constant sides included, and look for a witness for every prescribed
+    trace pair."""
+    if n < 1:
+        raise ValueError("degsum must be >= 1")
     q, r = _split_prime_power(p)
     ctx = make_field(q, r * t, seed=0)
     exhaustive = ctx.Q <= EXHAUSTIVE_CAP
     rng = random.Random(seed)
-    splits = [(n1, n - n1) for n1 in range(n + 1)
-              if (0 < n1 < n) or allow_constant]
     subfield = ctx.subfield_elements(r)
     failures = []
     pairs = 0
     for i in range(num_functions):
-        n1, n2 = splits[i % len(splits)]
-        f = sample_rational(ctx, n1, n2, rng, allow_constant=allow_constant)
+        n1 = i % (n + 1)
+        f = sample_rational(ctx, n1, n - n1, rng)
         for a in subfield:
             for b in subfield:
                 pairs += 1

@@ -21,7 +21,7 @@ from primpair.charsum import (
     verify_lemma32,
     verify_lemma33,
 )
-from primpair.errors import NotADivisor, NotInSubfield, ZeroElement
+from primpair.errors import BadSubfieldDegree, NotADivisor, NotInSubfield, ZeroElement
 from primpair.ffield import make_field
 from primpair.ntheory import euler_phi, factorize, mobius
 from primpair.ratfunc import (
@@ -129,6 +129,13 @@ class TestLab:
             assert tr < q             # a scalar's packed int is its value
             assert lab.psi0_sub(z) == lab.add_roots[tr]
 
+    @pytest.mark.parametrize("r", [0, -1, 2])
+    def test_subfield_degree_checked_first(self, r):
+        ctx = make_field(2, 5)
+        with pytest.raises(BadSubfieldDegree):
+            _lab(ctx, r)
+        assert r not in ctx.labs
+
     def test_not_in_subfield_names_the_index(self):
         # the message gives the index the CLI prints, not the packed int
         ctx = make_field(2, 4)
@@ -145,7 +152,7 @@ class TestLab:
         ctx = make_field(q, m)
         rng = random.Random(q * m)
         for n1, n2 in [(1, 1), (2, 1), (1, 2), (2, 2), (1, 0), (0, 1), (2, 0)]:
-            f = sample_rational(ctx, n1, n2, rng, allow_constant=True)
+            f = sample_rational(ctx, n1, n2, rng)
             _, Pp = zero_pole_set(ctx, f)
             pairs = list(_outside_Pp(ctx, f))
             assert [eps for eps, _ in pairs] == [

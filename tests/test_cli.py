@@ -228,6 +228,14 @@ class TestWitness:
                         "--a", "0", "--b", "0", *bad)
         assert (code, out) == (2, "")
 
+    def test_constant_side_must_be_one(self, capsys):
+        # a degree-0 side 2 is not monic; a monic constant side is 1
+        code = main(["--cache", "", "witness", "--q", "3", "--t", "7",
+                     "--f", "1:0,1:2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: num and den must be monic\n"
+
     def test_a_needs_b(self, capsys):
         code, out = run(capsys, "--cache", "", "witness", "--q", "2", "--t", "7",
                         "--a", "1")
@@ -307,6 +315,14 @@ class TestCharsumLab:
         else:
             assert out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("suite", ["indicators", "weil"])
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_subfield_degree_below_one_rejected(self, suite, r):
+        code, out, err = run_subprocess("--cache", "", "charsum-lab", "--q", "2",
+                                        "--m", "5", "--r", r, "--suite", suite)
+        assert (code, out) == (2, "")
+        assert err == f"error: {r} is not a positive divisor of 5\n"
+
     def test_float_formatting_stable(self, capsys):
         args = ("charsum-lab", "--q", "3", "--m", "3", "--suite", "weil",
                 "--samples", "3")
@@ -359,6 +375,14 @@ CLI_DIGESTS = {
         (0, "3f07345615b4d4626f1ea672daec86592dab999d7cf430b44e8f698a5237be78"),
     ("witness", "--q", "5", "--t", "9"):
         (0, "86eb3426c4e20ce54f707683fdb9c6f5ce20e281911f2bb9dd1db8e0b01224f4"),
+    # witness's own sampling of the classes (1, 0), (2, 1) and (2, 2)
+    ("--seed", "3", "witness", "--q", "2", "--t", "7", "--n", "1", "--exhaustive"):
+        (0, "c4e94686a49a32832bd4dac03e966a7285f3d3fe1c1f8cd7717bf948ffecf338"),
+    ("--seed", "1", "witness", "--q", "3", "--t", "7", "--n", "3"):
+        (0, "bbe59296f9340ef222cfea10bf512411be3b21e2f0e445de6eaaa0e69ef4eb09"),
+    ("--seed", "2", "witness", "--q", "2", "--r", "2", "--t", "5", "--n", "4",
+     "--exhaustive"):
+        (0, "48a04e74df6e4950abd8893ea0c8cd85774505882971ed5558747cea70ac9e98"),
 }
 
 
@@ -424,6 +448,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["check-bound", "--p", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("cache", ["missing_dir/c.txt", "."])
+    def test_unusable_cache_path(self, tmp_path, cache):
+        # appending under a missing directory, loading a directory
+        code, out, err = run_subprocess("--cache", str(tmp_path / cache),
+                                        "check-bound", "--p", "3", "--t", "7")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_format_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -414,6 +414,15 @@ class TestSubfield:
         b = make_field(2, 8).subfield_elements(4)
         assert a == b
 
+    @pytest.mark.parametrize("r", [0, -1, 2])
+    @pytest.mark.parametrize("method", ["trace_rel", "in_subfield", "subfield_elements"])
+    def test_degree_not_a_positive_divisor(self, method, r):
+        # 5 % -1 == 0, and the trace for r = -1 was the identity
+        ctx = make_field(2, 5)
+        args = (r,) if method == "subfield_elements" else (ctx.from_index(3), r)
+        with pytest.raises(BadSubfieldDegree, match=f"{r} is not a positive divisor of 5"):
+            getattr(ctx, method)(*args)
+
     def test_trivial_subfield(self, gf128):
         sub = gf128.subfield_elements(7)
         assert len(sub) == 128

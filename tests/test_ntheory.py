@@ -134,7 +134,7 @@ class TestPrimes:
 
     def test_sieve_build_matches_plain_sieve(self):
         for bound in list(range(2, 301)) + [10 ** 6]:
-            assert ntheory._eratosthenes(bound) == self._plain_sieve(bound)
+            assert ntheory._eratosthenes([], bound) == self._plain_sieve(bound)
 
     def test_primes_window_one_indexed(self):
         assert primes_window(1, 5) == [2, 3, 5, 7, 11]
@@ -604,7 +604,7 @@ class TestTrialBlocks:
             "from primpair import ntheory\n"
             "built = []\n"
             "real = ntheory._eratosthenes\n"
-            "ntheory._eratosthenes = lambda b: built.append(b) or real(b)\n"
+            "ntheory._eratosthenes = lambda k, b: built.append(b) or real(k, b)\n"
             "ntheory.factor_prime_power_order(2, 22)\n"
             "ntheory.factorize(242)\n"
             "print(ntheory._sieve_limit, built)\n"
@@ -617,6 +617,58 @@ class TestTrialBlocks:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             "65536 [65536]", "1000000 [65536, 1000000]"]
+
+    def test_grown_sieve_shares_the_old_primes(self):
+        # a fresh process: blocks 0..24 are cut from the floor list, the rest
+        # of a full walk from the grown one, which starts with the floor
+        # list's int objects.  Growing takes no more traced memory than
+        # building the whole new list next to the old one, as the sieve once
+        # did.
+        import primpair
+        src = str(Path(primpair.__file__).resolve().parent.parent)
+        script = (
+            "import itertools, math, tracemalloc\n"
+            "import sympy\n"
+            "from primpair import ntheory\n"
+            "def whole(bound):\n"
+            "    flags = bytearray([1]) * (bound + 1)\n"
+            "    flags[0:2] = b'\\x00\\x00'\n"
+            "    for i in range(2, math.isqrt(bound) + 1):\n"
+            "        if flags[i]:\n"
+            "            flags[i * i :: i] = bytes((bound - i * i) // i + 1)\n"
+            "    return list(itertools.compress(range(bound + 1), flags))\n"
+            "def growth_peak(grow):\n"
+            "    tracemalloc.start()\n"
+            "    base = tracemalloc.get_traced_memory()[0]\n"
+            "    grow()\n"
+            "    peak = tracemalloc.get_traced_memory()[1] - base\n"
+            "    tracemalloc.stop()\n"
+            "    return peak\n"
+            "old = whole(1 << 16)\n"
+            "before = growth_peak(lambda: whole(10 ** 6))\n"
+            "del old\n"
+            "for i in range(25):\n"
+            "    ntheory._trial_block(i)\n"
+            "after = growth_peak(lambda: ntheory._sieve(10 ** 6))\n"
+            "print(after <= before, before, after)\n"
+            "ntheory.factorize(1000003 * 1000033)\n"
+            "primes = ntheory._sieve_primes\n"
+            "print(ntheory._sieve_limit, all(\n"
+            "    p is q for i in range(len(primes) // 256 + 1)\n"
+            "    for p, q in zip(ntheory._trial_block(i)[0], primes[256 * i :])))\n"
+            "ntheory._sieve(3 * 10 ** 6)\n"
+            "grown = ntheory._sieve_primes\n"
+            "sympy.sieve.extend(3 * 10 ** 6)\n"
+            "print(grown == list(sympy.sieve.primerange(2, 3 * 10 ** 6 + 1)),\n"
+            "      all(p is q for p, q in zip(primes, grown)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0].split()[0] == "True", lines[0]
+        assert lines[1:] == ["1000000 True", "True True"]
 
     @pytest.mark.parametrize("n,blocks", [
         (2 ** 10 * 3, [0]),                              # cofactor 1

@@ -1,4 +1,4 @@
-"""Rational-function layer: canonical form, evaluation, enumeration."""
+"""Rational-function layer: canonical form, evaluation, sampling."""
 
 import gc
 import random
@@ -9,13 +9,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primpair.errors import DegreeZero, EmptyClass, EnumerationTooLarge
+from primpair.errors import DegreeZero, EmptyClass
 from primpair.ffield import make_field
 from primpair.ratfunc import (
     POLE,
     Poly,
     RationalFunction,
-    enumerate_rationals,
     eval_rational,
     is_irreducible,
     num_monic_irreducible,
@@ -161,39 +160,19 @@ class TestSampling:
             assert poly_gcd(gf7, f.num, f.den).degree == 0
 
     def test_polynomial_mode_gate(self, gf7):
-        rng = random.Random(3)
-        with pytest.raises(ValueError):
-            sample_rational(gf7, 2, 0, rng)
-        f = sample_rational(gf7, 2, 0, rng, allow_constant=True)
+        f = sample_rational(gf7, 2, 0, random.Random(3))
         assert f.n2 == 0 and f.den.coeffs == (gf7.one,)
+
+    @pytest.mark.parametrize("n1,n2", [(0, 0), (-1, 2), (2, -1)])
+    def test_degree_pair_rejected(self, gf7, n1, n2):
+        # a negative degree raised DegreeZero from the irreducibility test
+        with pytest.raises(ValueError, match="degrees must be >= 0"):
+            sample_rational(gf7, n1, n2, random.Random(0))
 
     def test_deterministic_under_seed(self, gf7):
         a = sample_rational(gf7, 1, 1, random.Random(5))
         b = sample_rational(gf7, 1, 1, random.Random(5))
         assert a == b
-
-
-class TestEnumeration:
-    def test_class_size_gf4(self, gf4):
-        # (Q-1) * N1 * N2 minus the num == den diagonal: 3 * (4*4 - 4) = 36
-        fs = list(enumerate_rationals(gf4, 1, 1))
-        assert len(fs) == 36
-        assert len(set(fs)) == 36
-
-    def test_class_size_asymmetric(self, gf4):
-        # degrees (1,2): 3 * 4 * 6 = 72, no diagonal to remove
-        fs = list(enumerate_rationals(gf4, 1, 2))
-        assert len(fs) == 3 * 4 * num_monic_irreducible(4, 2)
-
-    def test_cap_enforced(self, gf7):
-        with pytest.raises(EnumerationTooLarge):
-            list(enumerate_rationals(gf7, 3, 3, cap=10))
-
-    def test_every_emitted_function_valid(self, gf4):
-        for f in enumerate_rationals(gf4, 1, 1):
-            assert f.num != f.den
-            assert not f.scale.is_zero()
-            assert f.num.is_monic(gf4) and f.den.is_monic(gf4)
 
 
 class _BoundedRandom(random.Random):
@@ -218,10 +197,6 @@ class TestEmptyClass:
         ctx = make_field(2, 1)
         with pytest.raises(EmptyClass, match=r"class \(2, 2\) is empty over GF\(2\)"):
             sample_rational(ctx, 2, 2, _BoundedRandom(0, draws=10_000))
-
-    def test_enumerate_raises(self):
-        with pytest.raises(EmptyClass):
-            next(enumerate_rationals(make_field(2, 1), 2, 2))
 
     def test_sample_nonempty_square_class(self):
         # GF(2) has two monic irreducible cubics, so (3, 3) samples

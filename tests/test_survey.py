@@ -5,10 +5,12 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from primpair import survey
 from primpair.errors import OutOfScope
 from primpair.ffield import make_field
 from primpair.ntheory import FactorEffort, factorize
@@ -291,6 +293,20 @@ class TestMembershipSample:
         rep = verify_membership_sample(4, 7, 2, num_functions=2, seed=1)
         assert rep.failures == ()
         assert rep.pairs_checked == 2 * 16
+
+    def test_splits_pinned(self):
+        # n = 2 cycles through (0, 2), (1, 1), (2, 0), draw for draw
+        rep = verify_membership_sample(4, 3, 2, num_functions=30, seed=0)
+        assert (rep.pairs_checked, len(rep.failures)) == (480, 237)
+        assert Counter((f.n1, f.n2) for f, _, _ in rep.failures) == {
+            (0, 2): 82, (1, 1): 76, (2, 0): 79}
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_degree_sum_below_one_rejected(self, monkeypatch, n):
+        # rejected before any field is built
+        monkeypatch.setattr(survey, "make_field", None)
+        with pytest.raises(ValueError, match="degsum"):
+            verify_membership_sample(4, 3, n, num_functions=3, seed=0)
 
 
 class TestSerialization:
