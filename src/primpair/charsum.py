@@ -72,6 +72,7 @@ class _Lab:
         # Tr_{F_Q/F_p}(w) = 1, so Tr_{F_p/F_q}(z) = Tr_{F_Q/F_q}(z w) on F_p
         self.w = next(x for x in ctx.elements() if ctx.trace_rel(x, r) == ctx.one)
         self._weights: dict[int, list[int]] = {}
+        self._rows: tuple[RationalFunction | None, list] = (None, [])
 
     def weights(self, k: int) -> list[int]:
         """The k-free indicator by discrete log j: theta(k) times the sum over
@@ -93,6 +94,17 @@ class _Lab:
             out = self._weights[k] = [th * o % ell for o in out]
         return out
 
+    def rows(self, f: RationalFunction) -> list:
+        """(eps, f(eps), Tr_r eps, Tr_r f(eps)) for eps outside P', in
+        element order.  Built once per function; only the last f is kept."""
+        last, rows = self._rows
+        if last != f:
+            ctx, r = self.ctx, self.r
+            rows = [(eps, eps0, ctx.trace_rel(eps, r), ctx.trace_rel(eps0, r))
+                    for eps, eps0 in _outside_Pp(ctx, f)]
+            self._rows = (f, rows)
+        return rows
+
     def chi(self, mhat: int, x: FieldElement) -> int:
         if x.is_zero():
             raise ZeroElement("multiplicative character at zero")
@@ -113,14 +125,18 @@ class _Lab:
         """Canonical additive character of the subfield F_p at z in F_p."""
         return self.add_roots[self.sub_trace(z)]
 
-    def tau(self, a: FieldElement, x: FieldElement) -> int:
-        """Indicator of Tr(x) = a in shifted-canonical form:
-        (1/p) * sum over u in F_p of psi_hat0(u x) * psi0(-u a)."""
+    def shift(self, a: FieldElement) -> list[int]:
+        """psi0(-u a) for each u in the subfield, in subfield order."""
         ctx = self.ctx
-        return sum(
-            self.psi_hat0(ctx.mul(u, x)) * self.psi0_sub(ctx.neg(ctx.mul(u, a)))
-            for u in self.subfield
-        ) * self.inv_p % self.ell
+        return [self.psi0_sub(ctx.neg(ctx.mul(u, a))) for u in self.subfield]
+
+    def tau(self, shift: list[int], x: FieldElement) -> int:
+        """Indicator of Tr(x) = a in shifted-canonical form, for
+        shift = self.shift(a): (1/p) * sum over u in F_p of
+        psi_hat0(u x) * psi0(-u a)."""
+        ctx = self.ctx
+        return sum(self.psi_hat0(ctx.mul(u, x)) * s
+                   for u, s in zip(self.subfield, shift)) * self.inv_p % self.ell
 
 
 def _lab(ctx: FieldCtx, r: int) -> _Lab:
@@ -172,7 +188,7 @@ def tau_indicator(ctx: FieldCtx, a: FieldElement, eps: FieldElement, r: int) -> 
     diff = ctx.sub(ctx.trace_rel(eps, r), a)
     direct = (sum(lab.psi0_sub(ctx.mul(u, diff)) for u in lab.subfield)
               * lab.inv_p % lab.ell)
-    shifted = lab.tau(a, eps)
+    shifted = lab.tau(lab.shift(a), eps)
     if direct != shifted:
         raise AssertionError(
             f"additive-character forms disagree: {direct} vs {shifted}")
@@ -190,19 +206,25 @@ def char_sum_chi(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
         raise NotADivisor("character orders must divide Q - 1")
     mhat1, mhat2 = n // s1, n // s2
     add_roots = [cmath.exp(2j * cmath.pi * k / ctx.q) for k in range(ctx.q)]
-    # per-eps data reused across the (u, v) loop
+    sub = lab.subfield
+    pos = {z: i for i, z in enumerate(sub)}
+    # per-eps data reused across the (u, v) loop: the character value and
+    # the subfield positions of Tr_r eps and Tr_r f(eps)
     rows = []
-    for eps, eps0 in _outside_Pp(ctx, f):
+    for eps, eps0, tr, tr0 in lab.rows(f):
         k = (ctx.discrete_log(eps) * mhat1 + ctx.discrete_log(eps0) * mhat2) % n
-        rows.append((eps, eps0, cmath.exp(2j * cmath.pi * k / n)))
+        rows.append((cmath.exp(2j * cmath.pi * k / n), pos[tr], pos[tr0]))
+    # Tr_{Q/q}(u eps + v eps0) = Tr_{p/q}(u Tr_r eps) + Tr_{p/q}(v Tr_r eps0),
+    # by transitivity and F_q-linearity of the trace
+    sub_tr = [[lab.sub_trace(ctx.mul(u, z)) for z in sub] for u in sub]
     total = 0.0 + 0.0j
-    for u in lab.subfield:
-        for v in lab.subfield:
+    for u, tr_u in zip(sub, sub_tr):
+        for v, tr_v in zip(sub, sub_tr):
             w = add_roots[lab.sub_trace(ctx.neg(ctx.add(ctx.mul(a, u), ctx.mul(b, v))))]
+            tbl = [[add_roots[(x + y) % ctx.q] for y in tr_v] for x in tr_u]
             inner = 0.0 + 0.0j
-            for eps, eps0, chi_part in rows:
-                add_arg = ctx.add(ctx.mul(u, eps), ctx.mul(v, eps0))
-                inner += chi_part * add_roots[ctx.trace_rel(add_arg, 1)]
+            for chi_part, i, j in rows:
+                inner += chi_part * tbl[i][j]
             total += w * inner
     return total
 
@@ -214,17 +236,13 @@ def count_A_direct(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
 
     Optionally re-derives the count through the character-sum expansion and
     checks agreement; both are below ell, so agreement mod ell is equality."""
-    _lab(ctx, r)          # the lab's size cap and subfield checks hold here too
+    lab = _lab(ctx, r)
     n = ctx.Q - 1
     if n % k1 or n % k2:
         raise NotADivisor("k1, k2 must divide Q - 1")
-    count = 0
-    for eps, eps0 in _outside_Pp(ctx, f):
-        if not (ctx.is_ufree(eps, k1) and ctx.is_ufree(eps0, k2)):
-            continue
-        if ctx.trace_rel(eps, r) != a or ctx.trace_rel(eps0, r) != b:
-            continue
-        count += 1
+    count = sum(1 for eps, eps0, tr, tr0 in lab.rows(f)
+                if tr == a and tr0 == b
+                and ctx.is_ufree(eps, k1) and ctx.is_ufree(eps0, k2))
     if check_expansion:
         expansion = _count_A_expansion(ctx, f, a, b, k1, k2, r)
         if expansion != count:
@@ -237,14 +255,16 @@ def _count_A_expansion(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
                        b: FieldElement, k1: int, k2: int, r: int) -> int:
     """The full character-sum expansion mod ell, with the sums over character
     pairs and (u, v) regrouped per eps (an exact reordering of finite sums).
-    Uses only character arithmetic, never the boolean freeness/trace tests."""
+    Uses only character arithmetic, never the boolean freeness/trace tests
+    nor the rows' cached traces."""
     lab = _lab(ctx, r)
     rho1 = lab.weights(k1)
     rho2 = lab.weights(k2)
+    shift_a, shift_b = lab.shift(a), lab.shift(b)
     total = 0
-    for eps, eps0 in _outside_Pp(ctx, f):
+    for eps, eps0, _, _ in lab.rows(f):
         total += (rho1[ctx.discrete_log(eps)] * rho2[ctx.discrete_log(eps0)]
-                  * lab.tau(a, eps) * lab.tau(b, eps0))
+                  * lab.tau(shift_a, eps) * lab.tau(shift_b, eps0))
     return total % lab.ell
 
 

@@ -212,6 +212,10 @@ def _parse_function(ctx, spec: str) -> RationalFunction:
 
 
 def _cmd_witness(args) -> int:
+    # checked before GF(q^(r t)) is built, whose error would name m = r t
+    for flag, value in (("--r", args.r), ("--t", args.t)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1")
     ctx = make_field(args.q, args.r * args.t, seed=args.seed,
                      effort=_effort(args), cache=_cache(args))
     if not ctx.order_facts.complete:
@@ -274,6 +278,14 @@ def _lab_field(args):
     return ctx, rng
 
 
+def _divisors(ctx) -> list[int]:
+    """Every divisor of Q - 1, ascending, from the field's factorization."""
+    divs = [1]
+    for ell, e in ctx.order_facts.factors:
+        divs = [d * ell ** i for d in divs for i in range(e + 1)]
+    return sorted(divs)
+
+
 def _suite_indicators(ctx, rng, r, samples):
     mismatches = checked = 0
     for u in list(ctx.order_facts.primes()) + [ctx.Q - 1]:
@@ -295,7 +307,7 @@ def _suite_weil(ctx, rng, r, samples):
     t = ctx.m // r
     violations = []
     records = []
-    divisors = sorted(d for d in range(2, ctx.Q) if (ctx.Q - 1) % d == 0)
+    divisors = _divisors(ctx)[1:]
     if not divisors:
         raise NotADivisor(f"Q - 1 = {ctx.Q - 1} has no character order >= 2")
     for _ in range(samples):
@@ -316,7 +328,7 @@ def _suite_weil(ctx, rng, r, samples):
 
 def _suite_expansion(ctx, rng, r, samples):
     subfield = ctx.subfield_elements(r)
-    divisors = [d for d in range(1, ctx.Q) if (ctx.Q - 1) % d == 0]
+    divisors = _divisors(ctx)
     out = []
     for _ in range(samples):
         n1, n2 = rng.choice([(1, 1), (2, 1), (1, 2)])
@@ -333,15 +345,14 @@ def _suite_lemma32(ctx, rng, r, samples):
     primes = list(ctx.order_facts.primes())
     if not primes:
         raise NotADivisor(f"Q - 1 = {ctx.Q - 1} has no prime divisor m")
+    divisors = _divisors(ctx)
     out = []
     ok = True
     for _ in range(samples):
         f = sample_rational(ctx, 1, 1, rng)
         a, b = rng.choice(subfield), rng.choice(subfield)
         m_prime = rng.choice(primes)
-        k_pool = [d for d in range(1, ctx.Q) if (ctx.Q - 1) % d == 0
-                  and d % m_prime != 0]
-        k = rng.choice(k_pool)
+        k = rng.choice([d for d in divisors if d % m_prime])
         rep = verify_lemma32(ctx, f, a, b, k, m_prime, r)
         out.append({"k": k, "m": m_prime,
                     "lhs_first": _f10(rep.lhs_first),

@@ -24,7 +24,9 @@ from primpair.charsum import (
 from primpair.errors import BadSubfieldDegree, NotADivisor, NotInSubfield, ZeroElement
 from primpair.ffield import make_field
 from primpair.ntheory import euler_phi, factorize, mobius
+from primpair import charsum
 from primpair.ratfunc import (
+    POLE,
     Poly,
     RationalFunction,
     eval_rational,
@@ -53,6 +55,41 @@ def _inverse_map(ctx):
     one = Poly((ctx.one,))
     x = Poly((ctx.zero, ctx.one))
     return RationalFunction(ctx.one, one, x)
+
+
+def _count_A_brute(ctx, f, a, b, k1, k2, r):
+    """A(k1, k2) from is_ufree and trace_rel on every unit."""
+    count = 0
+    for eps in ctx.units():
+        eps0 = eval_rational(ctx, f, eps)
+        if eps0 is POLE or eps0.is_zero():
+            continue
+        count += (ctx.is_ufree(eps, k1) and ctx.is_ufree(eps0, k2)
+                  and ctx.trace_rel(eps, r) == a and ctx.trace_rel(eps0, r) == b)
+    return count
+
+
+def _char_sum_triple_loop(ctx, f, a, b, s1, s2, r):
+    """char_sum_chi as a loop over (u, v, eps) that takes the absolute trace
+    of u eps + v f(eps) in the big field for every term."""
+    lab = _lab(ctx, r)
+    n = ctx.Q - 1
+    mhat1, mhat2 = n // s1, n // s2
+    add_roots = [cmath.exp(2j * cmath.pi * k / ctx.q) for k in range(ctx.q)]
+    rows = []
+    for eps, eps0 in _outside_Pp(ctx, f):
+        k = (ctx.discrete_log(eps) * mhat1 + ctx.discrete_log(eps0) * mhat2) % n
+        rows.append((eps, eps0, cmath.exp(2j * cmath.pi * k / n)))
+    total = 0.0 + 0.0j
+    for u in lab.subfield:
+        for v in lab.subfield:
+            w = add_roots[lab.sub_trace(ctx.neg(ctx.add(ctx.mul(a, u), ctx.mul(b, v))))]
+            inner = 0.0 + 0.0j
+            for eps, eps0, chi_part in rows:
+                add_arg = ctx.add(ctx.mul(u, eps), ctx.mul(v, eps0))
+                inner += chi_part * add_roots[ctx.trace_rel(add_arg, 1)]
+            total += w * inner
+    return total
 
 
 class TestTheta:
@@ -273,6 +310,74 @@ class TestExactChecks:
             tau_indicator(gf27, gf27.one, eps, 1)
 
 
+class TestRowCache:
+    """count_A_direct filters per-function rows cached on the lab; each
+    count is checked against the expansion and a per-element brute force."""
+
+    def _check(self, ctx, f, r, rng, pairs=6):
+        sub = ctx.subfield_elements(r)
+        n = ctx.Q - 1
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        for _ in range(pairs):
+            a, b = rng.choice(sub), rng.choice(sub)
+            k1, k2 = rng.choice(divisors), rng.choice(divisors)
+            got = count_A_direct(ctx, f, a, b, k1, k2, r, check_expansion=True)
+            assert got == _count_A_brute(ctx, f, a, b, k1, k2, r)
+
+    def test_subfield_degree_two(self):
+        ctx = make_field(3, 4)
+        rng = random.Random(11)
+        for n1, n2 in [(1, 1), (2, 1), (1, 2)]:
+            self._check(ctx, sample_rational(ctx, n1, n2, rng), 2, rng)
+
+    def test_call_order_f_g_f(self):
+        ctx = make_field(3, 3)
+        rng = random.Random(12)
+        f = sample_rational(ctx, 1, 1, rng)
+        g = sample_rational(ctx, 2, 1, rng)
+        assert f != g
+        for h in (f, g, f):
+            self._check(ctx, h, 1, rng)
+            assert _lab(ctx, 1)._rows[0] == h      # one entry: the last f
+
+    def test_same_function_on_two_moduli(self):
+        one, other = make_field(3, 4, seed=0), make_field(3, 4, seed=1)
+        assert one.modulus != other.modulus
+        f = sample_rational(one, 1, 1, random.Random(13))
+        for ctx in (one, other, one):
+            self._check(ctx, f, 1, random.Random(14))
+        # the same f reads differently in the two fields, so a cache shared
+        # between them would have returned the wrong rows
+        assert _lab(one, 1).rows(f) != _lab(other, 1).rows(f)
+
+    def test_evaluates_each_function_once(self, monkeypatch):
+        ctx = make_field(3, 4)
+        f = sample_rational(ctx, 1, 1, random.Random(15))
+        calls = []
+
+        def counting(ctx, f, eps):
+            calls.append(eps)
+            return eval_rational(ctx, f, eps)
+
+        monkeypatch.setattr(charsum, "eval_rational", counting)
+        rep = verify_lemma33(ctx, f, ctx.zero, ctx.one, 1, 1)
+        assert len(rep.sieve_primes) == 2       # 80 = 2^4 * 5: 2m + 2 = 6 counts
+        count_A_direct(ctx, f, ctx.one, ctx.one, 2, 5, 1, check_expansion=True)
+        assert calls == list(ctx.units())
+
+    def test_expansion_does_not_read_cached_traces(self):
+        # one cached Tr(eps) off moves the direct count but not the
+        # expansion, which takes tau from psi_hat0(u eps)
+        ctx = make_field(3, 3)
+        f = _inverse_map(ctx)
+        rows = _lab(ctx, 1).rows(f)
+        eps, eps0, tr, tr0 = rows[0]
+        assert count_A_direct(ctx, f, tr, tr0, 1, 1, 1, check_expansion=True) > 0
+        rows[0] = (eps, eps0, ctx.add(tr, ctx.one), tr0)
+        with pytest.raises(AssertionError, match="expansion"):
+            count_A_direct(ctx, f, tr, tr0, 1, 1, 1, check_expansion=True)
+
+
 class TestCountA:
     def test_k1_counts_all_nonexcluded(self, gf128):
         # A(1,1) counts every eps outside P' with eps, f(eps) nonzero
@@ -336,6 +441,21 @@ class TestWeilBound:
             val = abs(char_sum_chi(ctx, f, a, b, s1, s2, 1))
             bound = (2 * f.degsum + 1) * q ** (m / 2 + 2)
             assert val <= bound
+
+
+    @pytest.mark.parametrize("q,m,r", [(2, 6, 2), (2, 6, 3), (3, 4, 2), (5, 2, 1)])
+    def test_matches_triple_loop(self, q, m, r):
+        # the same terms in the same order, so the floats agree exactly
+        ctx = make_field(q, m)
+        rng = random.Random(16)
+        subfield = ctx.subfield_elements(r)
+        divisors = [d for d in range(2, ctx.Q) if (ctx.Q - 1) % d == 0]
+        for n1, n2 in [(1, 1), (2, 1), (1, 2)]:
+            f = sample_rational(ctx, n1, n2, rng)
+            a, b = rng.choice(subfield), rng.choice(subfield)
+            s1, s2 = rng.choice(divisors), rng.choice(divisors)
+            assert (char_sum_chi(ctx, f, a, b, s1, s2, r)
+                    == _char_sum_triple_loop(ctx, f, a, b, s1, s2, r))
 
 
 class TestLemmas:

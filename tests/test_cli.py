@@ -236,6 +236,17 @@ class TestWitness:
         assert (code, captured.out) == (2, "")
         assert captured.err == "error: num and den must be monic\n"
 
+    @pytest.mark.parametrize("flag,value", [("--r", "0"), ("--r", "-1"),
+                                            ("--t", "0")])
+    def test_degree_below_one_rejected(self, capsys, flag, value):
+        # the message names the flag given, not the extension degree r * t
+        argv = {"--q": "2", "--t": "5", "--r": "1", flag: value}
+        code = main(["--cache", "", "witness",
+                     *(x for kv in argv.items() for x in kv)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {flag} must be >= 1\n"
+
     def test_a_needs_b(self, capsys):
         code, out = run(capsys, "--cache", "", "witness", "--q", "2", "--t", "7",
                         "--a", "1")
