@@ -46,6 +46,7 @@ from .survey import (
     SurveyRecord,
     SurveyStatus,
     classify,
+    first_witnesses,
     reproduce_appendix,
     survey_range,
     verify_membership_sample,
@@ -64,7 +65,8 @@ __all__ = [
     "FactorCache", "FactorEffort", "Factorization",
     "factor_prime_power_order", "factorize", "is_prime",
     "POLE", "Poly", "RationalFunction", "eval_rational", "sample_rational",
-    "SurveyRecord", "SurveyStatus", "classify", "reproduce_appendix",
+    "SurveyRecord", "SurveyStatus", "classify", "first_witnesses",
+    "reproduce_appendix",
     "survey_range", "verify_membership_sample", "witness_search",
     "__version__",
 ]

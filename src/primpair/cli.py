@@ -51,10 +51,10 @@ from .ratfunc import (
 )
 from .survey import (
     _frac,
+    _settle_pairs,
     _split_prime_power,
     record_to_dict,
     reproduce_appendix,
-    witness_search,
 )
 
 __all__ = ["main"]
@@ -236,27 +236,23 @@ def _cmd_witness(args) -> int:
             raise ValueError(f"subfield index {idx} outside [0, {len(subfield)})")
     pairs = ([(subfield[args.a], subfield[args.b])] if args.a is not None
              else [(a, b) for a in subfield for b in subfield])
+    found = _settle_pairs(ctx, f, pairs, args.r, args.exhaustive,
+                          args.search_budget, rng)
     results = []
-    any_missing = False
     for a, b in pairs:
-        res = witness_search(ctx, f, a, b, args.r,
-                             exhaustive=args.exhaustive,
-                             budget=args.search_budget,
-                             seed=rng.randrange(1 << 30))
         entry = {
             "a_index": subfield.index(a),
             "b_index": subfield.index(b),
-            "definitive": res.definitive,
+            "definitive": args.exhaustive,
         }
-        if res.witness is None:
-            entry["status"] = ("NoneExists" if res.definitive
+        eps = found.get((a, b))
+        if eps is None:
+            entry["status"] = ("NoneExists" if args.exhaustive
                                else "NotFoundWithinBudget")
-            any_missing = True
         else:
-            eps0 = eval_rational(ctx, f, res.witness)
             entry["status"] = "Found"
-            entry["witness_index"] = ctx.to_index(res.witness)
-            entry["image_index"] = ctx.to_index(eps0)
+            entry["witness_index"] = ctx.to_index(eps)
+            entry["image_index"] = ctx.to_index(eval_rational(ctx, f, eps))
         results.append(entry)
     _emit({
         "config": _run_config(args),
@@ -268,7 +264,7 @@ def _cmd_witness(args) -> int:
         },
         "results": results,
     })
-    return EXIT_MISMATCH if any_missing else EXIT_OK
+    return EXIT_MISMATCH if len(found) < len(pairs) else EXIT_OK
 
 
 def _lab_field(args):

@@ -110,9 +110,12 @@ class _Kernel:
         return reduce((p & low) + (((t >> shift) * self.fneg) & low))
 
     def powmod(self, a: int, e: int) -> int:
-        """a^e for e >= 0, left-to-right square-and-multiply."""
-        r = 1
-        for bit in bin(e)[2:]:
+        """a^e for e >= 0, left-to-right square-and-multiply from the
+        leading bit, which needs no product."""
+        if not e:
+            return 1
+        r = a
+        for bit in bin(e)[3:]:
             r = self.mulmod(r, r)
             if bit == "1":
                 r = self.mulmod(r, a)

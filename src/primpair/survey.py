@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import functools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -47,6 +48,7 @@ __all__ = [
     "load_published_failing",
     "load_published_sieve",
     "WitnessResult",
+    "first_witnesses",
     "witness_search",
     "MembershipReport",
     "verify_membership_sample",
@@ -249,20 +251,6 @@ class WitnessResult:
     definitive: bool      # exhaustive search proves nonexistence when empty
 
 
-def _is_witness(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
-                b: FieldElement, r: int, eps: FieldElement) -> bool:
-    if eps.is_zero():
-        return False
-    if ctx.trace_rel(eps, r) != a:
-        return False
-    eps0 = eval_rational(ctx, f, eps)
-    if eps0 is POLE or eps0.is_zero():
-        return False
-    if ctx.trace_rel(eps0, r) != b:
-        return False
-    return ctx.is_primitive(eps) and ctx.is_primitive(eps0)
-
-
 def _recheck_witness(ctx: FieldCtx, f: RationalFunction, a, b, r, eps) -> bool:
     """Independent re-verification: generic powers and Frobenius-sum traces,
     neither the log table nor the basis traces."""
@@ -272,6 +260,45 @@ def _recheck_witness(ctx: FieldCtx, f: RationalFunction, a, b, r, eps) -> bool:
            for x in (eps, eps0) for ell in ctx.order_facts.primes()):
         return False
     return ctx._frobenius_trace(eps, r) == a and ctx._frobenius_trace(eps0, r) == b
+
+
+def first_witnesses(ctx: FieldCtx, f: RationalFunction, pairs, r: int,
+                    candidates) -> dict:
+    """The first eps of ``candidates`` that witnesses each (a, b) of
+    ``pairs``: eps and f(eps) primitive, Tr eps = a and Tr f(eps) = b.  One
+    pass settles every pair; a pair that no candidate witnesses is absent.
+
+    The checks run cheapest first: an eps whose trace opens no pair costs
+    one trace, and primitivity, a powmod per prime of Q - 1 on an untabled
+    field, is asked only once (Tr eps, Tr f(eps)) is an open pair."""
+    open_b: dict[FieldElement, set[FieldElement]] = {}
+    for a, b in pairs:
+        open_b.setdefault(a, set()).add(b)
+    left = sum(map(len, open_b.values()))
+    found = {}
+    trace_rel, is_primitive = ctx.trace_rel, ctx.is_primitive
+    for eps in candidates:
+        if eps.is_zero():
+            continue
+        a = trace_rel(eps, r)
+        bs = open_b.get(a)
+        if not bs:
+            continue
+        eps0 = eval_rational(ctx, f, eps)
+        if eps0 is POLE or eps0.is_zero():
+            continue
+        b = trace_rel(eps0, r)
+        if b not in bs or not (is_primitive(eps) and is_primitive(eps0)):
+            continue
+        if not _recheck_witness(ctx, f, a, b, r, eps):
+            raise AssertionError(f"witness {ctx.to_index(eps)} fails the "
+                                 "independent recheck")
+        found[a, b] = eps
+        bs.remove(b)
+        left -= 1
+        if not left:
+            break
+    return found
 
 
 def witness_search(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
@@ -287,13 +314,25 @@ def witness_search(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
         rng = random.Random(seed)
         candidates = (ctx.from_index(rng.randrange(1, ctx.Q))
                       for _ in range(budget))
-    for eps in candidates:
-        if _is_witness(ctx, f, a, b, r, eps):
-            if not _recheck_witness(ctx, f, a, b, r, eps):
-                raise AssertionError(f"witness {ctx.to_index(eps)} fails the "
-                                     "independent recheck")
-            return WitnessResult(eps, definitive=exhaustive)
-    return WitnessResult(None, definitive=exhaustive)
+    witness = first_witnesses(ctx, f, [(a, b)], r, candidates).get((a, b))
+    return WitnessResult(witness, definitive=exhaustive)
+
+
+def _settle_pairs(ctx: FieldCtx, f: RationalFunction, pairs, r: int,
+                  exhaustive: bool, budget: int, rng: random.Random) -> dict:
+    """The witnesses of ``pairs``: one scan of all units, or else a seeded
+    random search per pair.  Both modes draw one seed per pair from ``rng``,
+    so whatever the caller draws next does not depend on the mode."""
+    seeds = [rng.randrange(1 << 30) for _ in pairs]
+    if exhaustive:
+        return first_witnesses(ctx, f, pairs, r, ctx.units())
+    found = {}
+    for (a, b), seed in zip(pairs, seeds):
+        res = witness_search(ctx, f, a, b, r, exhaustive=False,
+                             budget=budget, seed=seed)
+        if res.witness is not None:
+            found[a, b] = res.witness
+    return found
 
 
 @dataclass(frozen=True)
@@ -305,6 +344,10 @@ class MembershipReport:
     pairs_checked: int
     failures: tuple[tuple[RationalFunction, FieldElement, FieldElement], ...]
     definitive: bool
+
+    def failing_classes(self) -> dict[tuple[int, int], int]:
+        """Failures per class (n1, n2), classes in ascending order."""
+        return dict(sorted(Counter((f.n1, f.n2) for f, _, _ in self.failures).items()))
 
 
 def verify_membership_sample(p: int, t: int, n: int, num_functions: int,
@@ -320,19 +363,14 @@ def verify_membership_sample(p: int, t: int, n: int, num_functions: int,
     exhaustive = ctx.Q <= EXHAUSTIVE_CAP
     rng = random.Random(seed)
     subfield = ctx.subfield_elements(r)
+    pairs = [(a, b) for a in subfield for b in subfield]
     failures = []
-    pairs = 0
     for i in range(num_functions):
         n1 = i % (n + 1)
         f = sample_rational(ctx, n1, n - n1, rng)
-        for a in subfield:
-            for b in subfield:
-                pairs += 1
-                res = witness_search(ctx, f, a, b, r, exhaustive=exhaustive,
-                                     budget=budget, seed=rng.randrange(1 << 30))
-                if res.witness is None:
-                    failures.append((f, a, b))
-    return MembershipReport(p, t, n, num_functions, pairs,
+        found = _settle_pairs(ctx, f, pairs, r, exhaustive, budget, rng)
+        failures.extend((f, a, b) for a, b in pairs if (a, b) not in found)
+    return MembershipReport(p, t, n, num_functions, num_functions * len(pairs),
                             tuple(failures), exhaustive)
 
 

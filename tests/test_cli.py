@@ -380,6 +380,14 @@ CLI_DIGESTS = {
         (0, "61fb19b1a86302f8dc464b4fbe5e4c040d467e46ff2388900d16e7a562df0652"),
     ("witness", "--q", "2", "--r", "2", "--t", "5", "--exhaustive"):
         (0, "d1a59cf3679e2dacbfd669c7c546ab1c608c105a5a2bd1d2d87b5088249d2df2"),
+    # the exhaustive trace-pair workloads: every pair of GF(2^13), GF(3^7)
+    ("witness", "--q", "2", "--t", "13", "--exhaustive"):
+        (0, "a6c22fb83daccbf297745ed06f9d32fe03c2beb6e0693da3164851c6b367772d"),
+    ("witness", "--q", "3", "--t", "7", "--exhaustive"):
+        (0, "5e74cc04f35a6bdc2fee60b0ba725eac428af3f9348fd8f0b7a3dd0522c32229"),
+    # x/(x+1) over GF(2^8) has no witness for (1,1): the scan runs to the end
+    ("witness", "--q", "2", "--t", "8", "--f", "1:0,1:1,1", "--exhaustive"):
+        (1, "1fafb23a6cb6eaa7e20c41a03a55a95bde4b4235c992af980877876a3c52291c"),
     ("witness", "--q", "2", "--t", "23"):
         (0, "bc2bb8ba7c31df971401c4fe526446c0e90888def8dd61937079466cde33f069"),
     ("witness", "--q", "3", "--t", "13"):

@@ -247,6 +247,25 @@ class TestProductOracle:
                 seen.add(expected)
         assert seen == {True, False}
 
+    # GF(2^7), GF(3^5), and a Rabin kernel on a reducible sextic over GF(5)
+    @pytest.mark.parametrize("q,f", [
+        (2, make_field(2, 7).modulus),
+        (3, make_field(3, 5).modulus),
+        (5, (1, 0, 3, 0, 0, 2, 1)),
+    ])
+    def test_powmod_matches_sympy(self, q, f):
+        kernel = _Kernel(f, q)
+        m = len(f) - 1
+        top = q ** m
+        rng = random.Random(q)
+        bases = [(0, 1), (q - 1,) * m] + [
+            tuple(rng.randrange(q) for _ in range(m)) for _ in range(3)]
+        for base in bases:
+            for e in [*range(71), top - 2]:
+                ref = gf_pow_mod(list(reversed(base)), e, list(reversed(f)), q, sympy.ZZ)
+                ref = tuple(reversed(ref)) + (0,) * (m - len(ref))
+                assert kernel.unpack(kernel.powmod(kernel.pack(base), e)) == ref, (base, e)
+
     @pytest.mark.parametrize("q", [2, 3, 257])
     def test_barrett_constant_matches_sympy(self, q):
         # mu = x^(2m) div f, the quotient a polynomial division would give

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -14,12 +15,13 @@ from primpair import survey
 from primpair.errors import OutOfScope
 from primpair.ffield import make_field
 from primpair.ntheory import FactorEffort, factorize
-from primpair.ratfunc import Poly, RationalFunction
+from primpair.ratfunc import POLE, Poly, RationalFunction, eval_rational, sample_rational
 from primpair.survey import (
     SurveyStatus,
     _split_prime_power,
     classify,
     enumerate_prime_powers,
+    first_witnesses,
     load_published_failing,
     load_published_sieve,
     published_exceptions,
@@ -200,9 +202,10 @@ class TestReproduce:
 
 
 def _expect_recheck_failure(flags, corruption, target):
-    """Run witness_search on GF(2^7), f = 1/x, Tr(eps) = Tr(f(eps)) = target
-    after ``corruption`` in a fresh interpreter with ``flags``; both search
-    modes must raise the recheck's AssertionError."""
+    """Run witness_search on GF(2^7), f = 1/x, Tr(eps) = Tr(f(eps)) = target,
+    and first_witnesses over all four trace pairs, after ``corruption`` in a
+    fresh interpreter with ``flags``; both search modes and the all-pairs
+    scan must raise the recheck's AssertionError."""
     import primpair
     src = os.path.dirname(os.path.dirname(primpair.__file__))
     script = (
@@ -222,6 +225,14 @@ def _expect_recheck_failure(flags, corruption, target):
         "        if 'independent recheck' in str(exc):\n"
         "            continue\n"
         "    sys.exit('witness_search returned without the recheck')\n"
+        "traces = ctx.subfield_elements(1)\n"
+        "try:\n"
+        "    survey.first_witnesses(ctx, f, [(a, b) for a in traces for b in traces],\n"
+        "                           1, ctx.units())\n"
+        "except AssertionError as exc:\n"
+        "    if 'independent recheck' in str(exc):\n"
+        "        sys.exit(0)\n"
+        "sys.exit('first_witnesses returned without the recheck')\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, *flags, "-c", script], env=env,
@@ -282,6 +293,73 @@ class TestWitnessSearch:
         assert found == have
 
 
+def _brute_force_witness(ctx, f, a, b, r):
+    """The first unit witnessing (a, b), checked pair by pair from scratch."""
+    for eps in ctx.units():
+        eps0 = eval_rational(ctx, f, eps)
+        if (eps0 is not POLE and not eps0.is_zero()
+                and ctx.trace_rel(eps, r) == a and ctx.trace_rel(eps0, r) == b
+                and ctx.is_primitive(eps) and ctx.is_primitive(eps0)):
+            return eps
+    return None
+
+
+# (q, m, r): GF(2^4) over GF(2) and GF(4), GF(3^3) over GF(3), GF(2^6) over
+# GF(4) and GF(8)
+SCAN_FIELDS = [(2, 4, 1), (2, 4, 2), (3, 3, 1), (2, 6, 2), (2, 6, 3)]
+
+
+class TestFirstWitnesses:
+    @pytest.mark.parametrize("q,m,r", SCAN_FIELDS)
+    def test_all_pairs_equal_per_pair_brute_force(self, q, m, r):
+        ctx = make_field(q, m)
+        rng = random.Random(100 * q + 10 * m + r)
+        traces = ctx.subfield_elements(r)
+        pairs = [(a, b) for a in traces for b in traces]
+        missing = 0
+        for n in (1, 2, 3):
+            for n1 in range(n + 1):
+                for _ in range(2):
+                    f = sample_rational(ctx, n1, n - n1, rng)
+                    expected = {(a, b): eps for a, b in pairs
+                                if (eps := _brute_force_witness(ctx, f, a, b, r))
+                                is not None}
+                    assert first_witnesses(ctx, f, pairs, r, ctx.units()) == expected
+                    missing += len(pairs) - len(expected)
+        assert missing > 0      # the pairs without a witness are covered too
+
+    @pytest.mark.parametrize("q,m,r", SCAN_FIELDS)
+    def test_one_evaluation_per_unit(self, monkeypatch, q, m, r):
+        # f once per unit at most, plus the recheck's once per witness
+        ctx = make_field(q, m)
+        traces = ctx.subfield_elements(r)
+        pairs = [(a, b) for a in traces for b in traces]
+        f = sample_rational(ctx, 1, 1, random.Random(m))
+        calls = []
+
+        def counting(ctx, f, eps):
+            calls.append(eps)
+            return eval_rational(ctx, f, eps)
+
+        monkeypatch.setattr(survey, "eval_rational", counting)
+        found = first_witnesses(ctx, f, pairs, r, ctx.units())
+        assert found
+        assert len(calls) <= ctx.Q - 1 + len(found)
+        assert len(calls) - len(found) == len(set(calls))
+
+    def test_stops_once_every_pair_is_settled(self):
+        ctx = make_field(2, 7)
+        f = RationalFunction(ctx.one, Poly((ctx.one,)),
+                             Poly((ctx.zero, ctx.one)))
+        traces = ctx.subfield_elements(1)
+        pairs = [(a, b) for a in traces for b in traces]
+        candidates = ctx.units()
+        found = first_witnesses(ctx, f, pairs, 1, candidates)
+        assert len(found) == 4
+        last = max(map(ctx.to_index, found.values()))
+        assert ctx.to_index(next(candidates)) == last + 1
+
+
 class TestMembershipSample:
     def test_small_field_definitive(self):
         rep = verify_membership_sample(2, 7, 2, num_functions=6, seed=0)
@@ -298,8 +376,28 @@ class TestMembershipSample:
         # n = 2 cycles through (0, 2), (1, 1), (2, 0), draw for draw
         rep = verify_membership_sample(4, 3, 2, num_functions=30, seed=0)
         assert (rep.pairs_checked, len(rep.failures)) == (480, 237)
-        assert Counter((f.n1, f.n2) for f, _, _ in rep.failures) == {
-            (0, 2): 82, (1, 1): 76, (2, 0): 79}
+        assert rep.failing_classes() == {(0, 2): 82, (1, 1): 76, (2, 0): 79}
+        assert rep.failing_classes() == Counter(
+            (f.n1, f.n2) for f, _, _ in rep.failures)
+
+    def test_modes_sample_the_same_functions(self, monkeypatch):
+        # the one-scan exhaustive mode still draws a seed per pair, so the
+        # next function comes from the same stream as in the random mode
+        sampled = []
+
+        def recording(ctx, n1, n2, rng):
+            sampled.append(sample_rational(ctx, n1, n2, rng))
+            return sampled[-1]
+
+        monkeypatch.setattr(survey, "sample_rational", recording)
+        exhaustive = verify_membership_sample(4, 3, 2, num_functions=6, seed=0)
+        monkeypatch.setattr(survey, "EXHAUSTIVE_CAP", 0)
+        randomized = verify_membership_sample(4, 3, 2, num_functions=6, seed=0,
+                                              budget=300)
+        assert exhaustive.definitive and not randomized.definitive
+        assert sampled[:6] == sampled[6:]
+        assert exhaustive.failures
+        assert set(exhaustive.failures) <= set(randomized.failures)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_degree_sum_below_one_rejected(self, monkeypatch, n):
