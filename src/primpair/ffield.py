@@ -53,8 +53,15 @@ class _Kernel:
     [i*w, (i+1)*w), so a polynomial product is one int product.  No slot
     ever holds more than v = max(m, 2)*(q-1)^2, which bounds the slots of a
     product and of x + (q-1)*y alike, so no slot carries into the next.
-    All slots are taken mod q at once: for x <= v, x // q is
-    (x * recip) >> s, which fits in the w - s bits above bit s.
+    The slot width w and the reduction of all slots mod q at once depend on
+    the characteristic:
+
+    - q = 2: w = v.bit_length(), so every slot is at most v = max(m, 2) <
+      2^w.  A slot mod 2 is its low bit, so one AND with ``ones``, bit 0 of
+      each of the 2m - 1 slots of a product, reduces them all.
+    - odd q: for x <= v, x // q is (x * recip) >> s, and w is the bit length
+      of v * recip, so the quotient fits in the w - s bits above bit s and
+      x - q * quotient is x mod q.
 
     A product, of degree <= 2m - 2, is reduced by one polynomial Barrett
     step: its quotient by f is (high * mu) div x^m, where high is the
@@ -63,7 +70,8 @@ class _Kernel:
     fixed number of int operations, whatever m is.
     """
 
-    __slots__ = ("q", "m", "w", "recip", "s", "qmask", "shift", "low", "mu", "fneg")
+    __slots__ = ("q", "m", "w", "ones", "recip", "s", "qmask", "shift", "low",
+                 "mu", "fneg")
 
     def __init__(self, f, q):
         if f[-1] != 1:
@@ -71,10 +79,14 @@ class _Kernel:
         m = len(f) - 1
         v = max(m, 2) * (q - 1) ** 2
         self.q, self.m = q, m
-        self.s = (v * q).bit_length()
-        self.recip = (1 << self.s) // q + 1
-        self.w = w = (v * self.recip).bit_length()
-        self.qmask = sum(((1 << (w - self.s)) - 1) << (i * w) for i in range(2 * m - 1))
+        if q == 2:
+            self.w = w = v.bit_length()
+            self.ones = sum(1 << i * w for i in range(2 * m - 1))
+        else:
+            self.s = (v * q).bit_length()
+            self.recip = (1 << self.s) // q + 1
+            self.w = w = (v * self.recip).bit_length()
+            self.qmask = sum(((1 << (w - self.s)) - 1) << (i * w) for i in range(2 * m - 1))
         self.shift = m * w
         self.low = (1 << self.shift) - 1
         # mu reversed is 1 / (f reversed) mod x^(m+1), a power series mod q
@@ -101,10 +113,18 @@ class _Kernel:
 
     def reduce(self, v: int) -> int:
         """Every slot of v taken mod q; each slot must be at most the bound."""
+        if self.q == 2:
+            return v & self.ones
         return v - self.q * (((v * self.recip) >> self.s) & self.qmask)
 
     def mulmod(self, a: int, b: int) -> int:
-        shift, low, reduce = self.shift, self.low, self.reduce
+        shift, low = self.shift, self.low
+        if self.q == 2:     # the three reductions are one AND each
+            ones = self.ones
+            p = a * b & ones
+            t = (p >> shift) * self.mu & ones
+            return ((p & low) + ((t >> shift) * self.fneg & low)) & ones
+        reduce = self.reduce
         p = reduce(a * b)
         t = reduce((p >> shift) * self.mu)
         return reduce((p & low) + (((t >> shift) * self.fneg) & low))

@@ -251,11 +251,24 @@ class WitnessResult:
     definitive: bool      # exhaustive search proves nonexistence when empty
 
 
-def _recheck_witness(ctx: FieldCtx, f: RationalFunction, a, b, r, eps) -> bool:
-    """Independent re-verification: generic powers and Frobenius-sum traces,
-    neither the log table nor the basis traces."""
+def _recheck_witness(ctx: FieldCtx, f: RationalFunction, a, b, r, eps,
+                     eps0) -> bool:
+    """Independent re-verification of a witness eps with f(eps) = eps0 by
+    the kernel alone: eps0 * den(eps) = scale * num(eps) with den(eps) != 0,
+    generic powers and Frobenius-sum traces; neither the log table, nor an
+    inverse, nor the basis traces."""
+    mulmod = ctx._kernel.mulmod
+
+    def at_eps(poly):
+        acc = ctx.zero
+        for c in reversed(poly.coeffs):
+            acc = ctx.add(mulmod(acc, eps), c)
+        return acc
+
+    den = at_eps(f.den)
+    if not den or mulmod(eps0, den) != mulmod(f.scale, at_eps(f.num)):
+        return False
     n = ctx.Q - 1
-    eps0 = eval_rational(ctx, f, eps)
     if any(ctx._pow_poly(x, n // ell) == ctx.one
            for x in (eps, eps0) for ell in ctx.order_facts.primes()):
         return False
@@ -290,7 +303,7 @@ def first_witnesses(ctx: FieldCtx, f: RationalFunction, pairs, r: int,
         b = trace_rel(eps0, r)
         if b not in bs or not (is_primitive(eps) and is_primitive(eps0)):
             continue
-        if not _recheck_witness(ctx, f, a, b, r, eps):
+        if not _recheck_witness(ctx, f, a, b, r, eps, eps0):
             raise AssertionError(f"witness {ctx.to_index(eps)} fails the "
                                  "independent recheck")
         found[a, b] = eps

@@ -388,6 +388,9 @@ CLI_DIGESTS = {
     # x/(x+1) over GF(2^8) has no witness for (1,1): the scan runs to the end
     ("witness", "--q", "2", "--t", "8", "--f", "1:0,1:1,1", "--exhaustive"):
         (1, "1fafb23a6cb6eaa7e20c41a03a55a95bde4b4235c992af980877876a3c52291c"),
+    # the untabled GF(2^22) random search over GF(4)
+    ("--seed", "0", "witness", "--q", "2", "--r", "2", "--t", "11"):
+        (0, "c4a47780d36736e4b8c5da535ec671c4d6007767b0e21dde706e8e4bce582ae3"),
     ("witness", "--q", "2", "--t", "23"):
         (0, "bc2bb8ba7c31df971401c4fe526446c0e90888def8dd61937079466cde33f069"),
     ("witness", "--q", "3", "--t", "13"):

@@ -134,6 +134,17 @@ class TestPackedElements:
                 assert _coeffs(ctx, ctx.sub(x, y)) == tuple(
                     (a - b) % q for a, b in zip(cx, cy))
 
+    # from_index packs 8 binary digits per chunk of 256 indexes
+    @pytest.mark.parametrize("m", [8, 9, 13])
+    def test_binary_index_round_trip(self, m):
+        ctx = make_field(2, m, table_cap=1)
+        idxs = {0, 1, ctx.Q - 1, ctx.Q - 2}
+        idxs |= {k * 256 + d for k in range(1, ctx.Q // 256) for d in (-1, 0, 1)}
+        for idx in sorted(idxs):
+            x = ctx.from_index(idx)
+            assert x == ctx._kernel.pack([idx >> i & 1 for i in range(m)]), idx
+            assert ctx.to_index(x) == idx
+
     @pytest.mark.parametrize("table_cap", [1, 1 << 20])
     def test_methods_return_field_elements(self, table_cap):
         ctx = make_field(3, 4, table_cap=table_cap)
@@ -247,11 +258,15 @@ class TestProductOracle:
                 seen.add(expected)
         assert seen == {True, False}
 
-    # GF(2^7), GF(3^5), and a Rabin kernel on a reducible sextic over GF(5)
+    # GF(2^7), GF(3^5), a Rabin kernel on a reducible sextic over GF(5),
+    # GF(2^22), and a Rabin kernel on (x^3 + x + 1)^2 (x^2 + x + 1)(x + 1)
+    # over GF(2)
     @pytest.mark.parametrize("q,f", [
         (2, make_field(2, 7).modulus),
         (3, make_field(3, 5).modulus),
         (5, (1, 0, 3, 0, 0, 2, 1)),
+        (2, make_field(2, 22).modulus),
+        (2, (1, 0, 1, 1, 0, 1, 1, 0, 0, 1)),
     ])
     def test_powmod_matches_sympy(self, q, f):
         kernel = _Kernel(f, q)
@@ -265,6 +280,12 @@ class TestProductOracle:
                 ref = gf_pow_mod(list(reversed(base)), e, list(reversed(f)), q, sympy.ZZ)
                 ref = tuple(reversed(ref)) + (0,) * (m - len(ref))
                 assert kernel.unpack(kernel.powmod(kernel.pack(base), e)) == ref, (base, e)
+
+    def test_binary_slots_are_narrow(self):
+        # over GF(2) a slot holds at most max(m, 2), so w is its bit length
+        for m in range(1, 24):
+            f = (1,) + (0,) * (m - 1) + (1,)
+            assert _Kernel(f, 2).w == max(m, 2).bit_length(), m
 
     @pytest.mark.parametrize("q", [2, 3, 257])
     def test_barrett_constant_matches_sympy(self, q):
