@@ -413,7 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "functions with prescribed traces.")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=5_000_000,
-                        help="factorization iteration budget")
+                        help="iteration budget of Pollard rho, which finds "
+                             "every prime factor above 2^16")
     parser.add_argument("--cache", default="",
                         help="factor cache path; none by default")
     sub = parser.add_subparsers(dest="subcommand", required=True)

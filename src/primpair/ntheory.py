@@ -133,7 +133,7 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # prime sieves
 
-_SIEVE_FLOOR = 1 << 16  # the first sieve list; it holds trial blocks 0..24
+TRIAL_BOUND = 1 << 16  # the trial-division bound and the sieve's first list
 _sieve_lock = threading.Lock()
 # Replaced by a longer list when the sieve grows, never mutated in place, so a
 # list a caller is walking stays valid while another thread grows the sieve.
@@ -164,7 +164,7 @@ def _sieve(limit: int) -> list[int]:
     global _sieve_primes, _sieve_limit
     with _sieve_lock:
         if limit > _sieve_limit:
-            _sieve_limit = max(limit, 2 * _sieve_limit, _SIEVE_FLOOR)
+            _sieve_limit = max(limit, 2 * _sieve_limit, TRIAL_BOUND)
             _sieve_primes = _eratosthenes(_sieve_primes, _sieve_limit)
         return _sieve_primes
 
@@ -192,8 +192,8 @@ def primes_window(i: int, j: int) -> list[int]:
 # factorization
 
 # Trial division takes the primes <= TRIAL_BOUND in blocks of _BLOCK
-# consecutive primes, one gcd against the block's product each.
-TRIAL_BOUND = 10 ** 6
+# consecutive primes, one gcd against the block's product each; rho takes
+# every prime factor above it.
 _BLOCK = 256
 
 
@@ -315,11 +315,8 @@ def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int
 @functools.cache
 def _trial_block(i: int) -> tuple[list[int], int]:
     """The i-th block of primes <= TRIAL_BOUND (empty past the last one) and
-    their product.  It grows the sieve only to the floor list when that holds
-    the block, else to TRIAL_BOUND; every list holds the same primes <= both."""
-    primes = _sieve(_SIEVE_FLOOR)
-    primes = primes if len(primes) >= (i + 1) * _BLOCK else _sieve(TRIAL_BOUND)
-    block = primes[i * _BLOCK : (i + 1) * _BLOCK]
+    their product."""
+    block = _sieve(TRIAL_BOUND)[i * _BLOCK : (i + 1) * _BLOCK]
     block = block[: bisect.bisect_right(block, TRIAL_BOUND)]
     return block, math.prod(block)
 

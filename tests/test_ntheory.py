@@ -153,7 +153,11 @@ class TestFactorize:
         assert fac.factors == () and fac.complete
 
     def test_small_vs_sympy(self):
-        for n in list(range(2, 500)) + [2 ** 32 - 1, 10 ** 12 + 39]:
+        # the last row has prime factors in (TRIAL_BOUND, 10^6], which rho
+        # splits off, with a square and a cube for the perfect-power check
+        for n in list(range(2, 500)) + [2 ** 32 - 1, 10 ** 12 + 39] + [
+                65537 * 65539, 999979 * 999983, 3 * 65537 ** 2, 65537 ** 3,
+                7 * 131071 ** 3 * 999983, 2 * 65537 ** 2 * 524287 * 999983]:
             fac = factorize(n)
             assert fac.complete
             assert dict(fac.factors) == sympy.factorint(n)
@@ -184,7 +188,7 @@ class TestFactorize:
             fac.require_complete()
 
     def test_trial_bound_is_fixed(self):
-        assert FactorEffort().trial_bound == TRIAL_BOUND == 10 ** 6
+        assert FactorEffort().trial_bound == TRIAL_BOUND == 1 << 16
         with pytest.raises(TypeError):
             FactorEffort(trial_bound=10)
 
@@ -550,6 +554,7 @@ class TestCyclotomicProgression:
     SAMPLES = [
         (12547, 7), (22273, 7), (10007, 7), (26357, 7), (2, 7),
         (1013, 8), (1346, 8), (3, 8),
+        (2, 23),
         (997, 12), (101, 12), (2, 12),
         (31, 30), (13, 30), (2, 30),
         (7, 60), (5, 60), (2, 60),
@@ -597,7 +602,7 @@ class TestTrialBlocks:
 
     def test_small_factors_keep_the_floor_sieve(self):
         # a fresh process, whose sieve no other test has grown; a full walk
-        # then builds the list up to the trial bound and no list between
+        # builds the list up to the trial bound once and never grows it
         import primpair
         src = str(Path(primpair.__file__).resolve().parent.parent)
         script = (
@@ -615,15 +620,13 @@ class TestTrialBlocks:
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [
-            "65536 [65536]", "1000000 [65536, 1000000]"]
+        assert proc.stdout.splitlines() == ["65536 [65536]", "65536 [65536]"]
 
     def test_grown_sieve_shares_the_old_primes(self):
-        # a fresh process: blocks 0..24 are cut from the floor list, the rest
-        # of a full walk from the grown one, which starts with the floor
-        # list's int objects.  Growing takes no more traced memory than
-        # building the whole new list next to the old one, as the sieve once
-        # did.
+        # a fresh process: every trial block is cut from the first list, and
+        # the list that primes_upto grows past it starts with that list's int
+        # objects.  Growing takes no more traced memory than building the
+        # whole new list next to the old one, as the sieve once did.
         import primpair
         src = str(Path(primpair.__file__).resolve().parent.parent)
         script = (
@@ -647,12 +650,11 @@ class TestTrialBlocks:
             "old = whole(1 << 16)\n"
             "before = growth_peak(lambda: whole(10 ** 6))\n"
             "del old\n"
-            "for i in range(25):\n"
+            "for i in range(len(ntheory.primes_upto(ntheory.TRIAL_BOUND)) // 256 + 1):\n"
             "    ntheory._trial_block(i)\n"
             "after = growth_peak(lambda: ntheory._sieve(10 ** 6))\n"
             "print(after <= before, before, after)\n"
-            "ntheory.factorize(1000003 * 1000033)\n"
-            "primes = ntheory._sieve_primes\n"
+            "primes = ntheory.primes_upto(10 ** 6)\n"
             "print(ntheory._sieve_limit, all(\n"
             "    p is q for i in range(len(primes) // 256 + 1)\n"
             "    for p, q in zip(ntheory._trial_block(i)[0], primes[256 * i :])))\n"
@@ -674,7 +676,7 @@ class TestTrialBlocks:
         (2 ** 10 * 3, [0]),                              # cofactor 1
         (2 * (10 ** 12 + 39), [0]),                      # prime cofactor
         (primes_upto(10 ** 4)[3 * 256 + 5] * (10 ** 12 + 39), [0, 1, 2, 3]),
-        (1000003 * 1000033, list(range(len(primes_upto(10 ** 6)) // 256 + 2))),
+        (1000003 * 1000033, list(range(len(primes_upto(TRIAL_BOUND)) // 256 + 2))),
     ])
     def test_walk_ends_at_the_exposing_block(self, monkeypatch, n, blocks):
         walked = []

@@ -93,24 +93,39 @@ class TestSplitPrimePower:
         with pytest.raises(ValueError):
             _split_prime_power(p)
 
-    def test_warm_survey_keeps_the_small_sieve(self, tmp_path):
-        # on a warm cache nothing factors, so the sieve stays at its minimum
-        cache = tmp_path / "cache.txt"
-        shutil.copyfile(WARM_CACHE, cache)
+    @staticmethod
+    def _sieve_limit_after_surveys(cache, ts):
+        """Exit codes of ``survey --t T`` on ``cache`` for each T, then the
+        sieve limit, in a fresh process whose sieve no test has grown."""
         import primpair
         src = os.path.dirname(os.path.dirname(primpair.__file__))
         script = (
             "import contextlib, io\n"
             "from primpair import cli, ntheory\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    code = cli.main(['--cache', {str(cache)!r}, 'survey', '--t', '8'])\n"
-            "print(code, ntheory._sieve_limit)\n"
+            f"    codes = [cli.main(['--cache', {str(cache)!r}, 'survey', '--t', str(t)])\n"
+            f"             for t in {list(ts)!r}]\n"
+            "print(*codes, ntheory._sieve_limit)\n"
         )
         proc = subprocess.run([sys.executable, "-c", script],
                               env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", str(1 << 16)]
+        return proc.stdout.split()
+
+    def test_warm_survey_keeps_the_small_sieve(self, tmp_path):
+        # on a warm cache nothing factors, so the sieve stays at its minimum
+        cache = tmp_path / "cache.txt"
+        shutil.copyfile(WARM_CACHE, cache)
+        assert self._sieve_limit_after_surveys(cache, [8]) == ["0", str(1 << 16)]
+
+    def test_cold_survey_keeps_the_small_sieve(self, tmp_path):
+        # trial division never sieves past its bound; rho takes the larger
+        # factors of p^t - 1, so a cold survey keeps the sieve at its minimum
+        cache = tmp_path / "cache.txt"
+        assert self._sieve_limit_after_surveys(cache, [9, 11]) == [
+            "0", "0", str(1 << 16)]
+        assert cache.read_text().count("\n") > 0
 
 
 class TestClassify:
@@ -194,8 +209,9 @@ class TestReproduce:
     def test_unknowns_never_dropped(self):
         diff = reproduce_appendix(11, effort=FactorEffort(rho_iterations=1))
         # with a starved budget some candidates must surface as unknown
-        # rather than silently landing in either list
-        assert diff.unknown == (43,)
+        # rather than silently landing in either list; rho takes every
+        # factor above the trial bound, so these include factors below 10^6
+        assert diff.unknown == (19, 41, 43, 47, 49)
         assert set(diff.unknown).isdisjoint(diff.computed_failing)
         total = len(diff.unknown) + len(diff.records) - len(diff.unknown)
         assert total == len(diff.records)

@@ -3,7 +3,7 @@
     python3 tools/derive_rho_hints.py CACHE [OUT]
 
 A hint is a prime above HINT_FLOOR that a complete line of CACHE lists
-below the line's largest prime.  Trial division (bound 10^6) cannot reach
+below the line's largest prime.  Trial division (bound 2^16) cannot reach
 such a prime and rho takes long to split it off, while the line's largest
 prime is what is left once the others are divided out.  ``factorize`` tries
 each hint as a divisor of a composite cofactor before running rho, and
