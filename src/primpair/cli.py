@@ -168,6 +168,9 @@ def _cmd_lemma35(args) -> int:
 
 
 def _cmd_survey(args) -> int:
+    if args.paper_diff and args.n != 2:
+        # the published tables are for n = 2 only
+        raise ValueError("--paper-diff needs --n 2")
     diff = reproduce_appendix(args.t, args.n, effort=_effort(args),
                               cache=_cache(args))
     payload = {
@@ -213,7 +216,8 @@ def _parse_function(ctx, spec: str) -> RationalFunction:
 
 def _cmd_witness(args) -> int:
     # checked before GF(q^(r t)) is built, whose error would name m = r t
-    for flag, value in (("--r", args.r), ("--t", args.t)):
+    for flag, value in (("--r", args.r), ("--t", args.t),
+                        ("--search-budget", args.search_budget)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1")
     ctx = make_field(args.q, args.r * args.t, seed=args.seed,

@@ -318,16 +318,10 @@ class FieldCtx:
 
     def _find_generator(self, seed: int) -> FieldElement:
         rng = random.Random(("generator", self.q, self.m, seed).__repr__())
-        primes = self.order_facts.primes()
-        n = self.Q - 1
         while True:
             cand = FieldElement(self._kernel.pack(
                 [rng.randrange(self.q) for _ in range(self.m)]))
-            if not cand:
-                continue
-            if n == 1:
-                return cand
-            if all(self.pow(cand, n // ell) != self.one for ell in primes):
+            if cand and self.is_primitive(cand):
                 return cand
 
     def _build_tables(self):

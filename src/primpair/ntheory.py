@@ -133,46 +133,31 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # prime sieves
 
-TRIAL_BOUND = 1 << 16  # the trial-division bound and the sieve's first list
-_sieve_lock = threading.Lock()
-# Replaced by a longer list when the sieve grows, never mutated in place, so a
-# list a caller is walking stays valid while another thread grows the sieve.
-_sieve_primes: list[int] = []
-_sieve_limit = 0
+TRIAL_BOUND = 1 << 16  # trial division's bound and the end of the one prime list
 
 
-def _eratosthenes(known: list[int], bound: int) -> list[int]:
-    """All primes <= bound: known, every prime up to its last one lo, then
-    the primes in (lo, bound] by a sieve of that segment alone."""
-    lo = known[-1] if known else 1
-    flags = bytearray([1]) * (bound - lo)           # flags[k] is lo + 1 + k
-    root = math.isqrt(bound)
-    for i in itertools.chain(itertools.takewhile(lambda p: p <= root, known),
-                             range(lo + 1, root + 1)):
-        if i > lo and not flags[i - lo - 1]:
-            continue
-        start = max(i * i, (lo // i + 1) * i)
-        flags[start - lo - 1 :: i] = bytes((bound - start) // i + 1)
-    above = list(itertools.compress(range(lo + 1, bound + 1), flags))
-    del flags                   # freed first: the copy holds both lists
-    return known + above if known else above
+def _eratosthenes(bound: int) -> list[int]:
+    """All primes <= bound."""
+    flags = bytearray(2) + bytearray([1]) * (bound - 1)    # flags[k] is k
+    for i in range(2, math.isqrt(bound) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes((bound - i * i) // i + 1)
+    return list(itertools.compress(range(bound + 1), flags))
 
 
-def _sieve(limit: int) -> list[int]:
-    """The module's prime list, grown to cover every prime <= limit; a grown
-    list starts with the old one's int objects."""
-    global _sieve_primes, _sieve_limit
-    with _sieve_lock:
-        if limit > _sieve_limit:
-            _sieve_limit = max(limit, 2 * _sieve_limit, TRIAL_BOUND)
-            _sieve_primes = _eratosthenes(_sieve_primes, _sieve_limit)
-        return _sieve_primes
+@functools.cache
+def _small_primes() -> tuple[int, ...]:
+    """The primes <= TRIAL_BOUND, sieved once per process."""
+    return tuple(_eratosthenes(TRIAL_BOUND))
 
 
 def primes_upto(limit: int) -> list[int]:
-    """All primes <= limit, sliced from the module-wide sieve."""
-    primes = _sieve(limit)
-    return primes[: bisect.bisect_right(primes, limit)]
+    """All primes <= limit: a slice of the one list up to TRIAL_BOUND, a
+    sieve of its own above it, which nothing keeps."""
+    if limit > TRIAL_BOUND:
+        return _eratosthenes(limit)
+    primes = _small_primes()
+    return list(primes[: bisect.bisect_right(primes, limit)])
 
 
 def primes_window(i: int, j: int) -> list[int]:
@@ -313,12 +298,11 @@ def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int
 
 
 @functools.cache
-def _trial_block(i: int) -> tuple[list[int], int]:
-    """The i-th block of primes <= TRIAL_BOUND (empty past the last one) and
-    their product."""
-    block = _sieve(TRIAL_BOUND)[i * _BLOCK : (i + 1) * _BLOCK]
-    block = block[: bisect.bisect_right(block, TRIAL_BOUND)]
-    return block, math.prod(block)
+def _trial_blocks() -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The primes <= TRIAL_BOUND in blocks of _BLOCK, each with its product."""
+    primes = _small_primes()
+    blocks = (primes[i : i + _BLOCK] for i in range(0, len(primes), _BLOCK))
+    return tuple((block, math.prod(block)) for block in blocks)
 
 
 @functools.cache
@@ -348,12 +332,9 @@ def factorize(n: int, effort: FactorEffort = FactorEffort()) -> Factorization:
     # walked so far held.
     m = n
     m_prime = is_prime(m)
-    i = 0
-    while m > 1 and not m_prime:
-        block, product = _trial_block(i)
-        if not block:
+    for block, product in _trial_blocks():
+        if m == 1 or m_prime:
             break
-        i += 1
         # reducing first is cheaper than a gcd on the block product itself
         g = math.gcd(product % m, m)
         if g == 1:

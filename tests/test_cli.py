@@ -175,6 +175,15 @@ class TestSurvey:
     def test_degree_sum_below_one_exits_two(self, capsys):
         assert run(capsys, "survey", "--t", "9", "--n", "0") == (2, "")
 
+    @pytest.mark.parametrize("n", ["1", "3"])
+    def test_paper_diff_needs_degree_sum_two(self, capsys, n):
+        # the published tables are for n = 2; a diff at another n would
+        # report table entries as mismatches
+        code = main(["--cache", "", "survey", "--t", "9", "--n", n, "--paper-diff"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: --paper-diff needs --n 2\n"
+
     def test_byte_identical_reruns(self, capsys):
         _, out1 = run(capsys, "survey", "--t", "11", "--paper-diff")
         _, out2 = run(capsys, "survey", "--t", "11", "--paper-diff")
@@ -246,6 +255,15 @@ class TestWitness:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: {flag} must be >= 1\n"
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_search_budget_below_one_rejected(self, capsys, budget):
+        # a search of no candidates finds nothing, which is no mismatch
+        code = main(["--cache", "", "witness", "--q", "2", "--t", "7",
+                     "--search-budget", budget, "--a", "0", "--b", "0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: --search-budget must be >= 1\n"
 
     def test_a_needs_b(self, capsys):
         code, out = run(capsys, "--cache", "", "witness", "--q", "2", "--t", "7",

@@ -2,8 +2,6 @@
 
 import itertools
 import math
-import os
-import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -107,20 +105,22 @@ class TestPrimes:
         assert primes_upto(1) == []
 
     def test_limits_after_a_larger_sieve(self):
+        # either side of the one list's end, 65,537 being the prime above it
         primes_upto(10 ** 6)
-        for limit in (0, 1, 2, 7919, 7918, ntheory._sieve_limit):
+        for limit in (0, 1, 2, 7918, 7919, TRIAL_BOUND - 1, TRIAL_BOUND,
+                      TRIAL_BOUND + 1, 10 ** 6):
             assert primes_upto(limit) == list(sympy.primerange(2, limit + 1))
 
     def test_returned_list_is_a_copy(self):
-        ps = primes_upto(100)
-        ps[0] = 9
-        ps.append(4)
-        assert primes_upto(100) == list(sympy.primerange(2, 101))
-        limit = ntheory._sieve_limit
-        ps = primes_upto(limit)
-        expected = list(ps)
-        ps.clear()
-        assert primes_upto(limit) == expected
+        for limit in (100, TRIAL_BOUND, 2 * TRIAL_BOUND):
+            ps = primes_upto(limit)
+            assert primes_upto(limit) is not ps
+            expected = list(ps)
+            ps[0] = 9
+            ps.append(4)
+            assert primes_upto(limit) == expected
+            ps.clear()
+            assert primes_upto(limit) == expected
         assert primes_upto(100) == list(sympy.primerange(2, 101))
 
     @staticmethod
@@ -133,8 +133,8 @@ class TestPrimes:
         return [i for i, f in enumerate(flags) if f]
 
     def test_sieve_build_matches_plain_sieve(self):
-        for bound in list(range(2, 301)) + [10 ** 6]:
-            assert ntheory._eratosthenes([], bound) == self._plain_sieve(bound)
+        for bound in list(range(0, 301)) + [10 ** 6]:
+            assert ntheory._eratosthenes(bound) == self._plain_sieve(bound)
 
     def test_primes_window_one_indexed(self):
         assert primes_window(1, 5) == [2, 3, 5, 7, 11]
@@ -569,29 +569,28 @@ class TestCyclotomicProgression:
 
 def _joined_blocks():
     joined = []
-    for i in itertools.count():
-        block, product = ntheory._trial_block(i)
-        if not block:
-            return joined
+    for block, product in ntheory._trial_blocks():
         assert product == math.prod(block)
         joined += block
+    return joined
 
 
 class TestTrialBlocks:
     def test_blocks_join_to_the_primes_upto_bound(self):
-        ntheory._trial_block.cache_clear()
+        ntheory._trial_blocks.cache_clear()
         assert _joined_blocks() == primes_upto(TRIAL_BOUND)
+        assert {len(block) for block, _ in ntheory._trial_blocks()[:-1]} == {256}
 
     def test_grown_sieve_leaves_blocks_and_factors(self, monkeypatch):
         orders = [(12547, 7), (1013, 8), (7, 60)]
-        ntheory._trial_block.cache_clear()
+        ntheory._trial_blocks.cache_clear()
         blocks = _joined_blocks()
         facs = [factor_prime_power_order(p, t) for p, t in orders]
         primes_upto(2 * TRIAL_BOUND)
-        ntheory._trial_block.cache_clear()
+        ntheory._trial_blocks.cache_clear()
         assert _joined_blocks() == blocks
         assert [factor_prime_power_order(p, t) for p, t in orders] == facs
-        # primes between the trial bound and the grown sieve are left to rho
+        # primes between the trial bound and the larger sieve are left to rho
         monkeypatch.setattr(ntheory, "_rho_hints", lambda: ())
         monkeypatch.setattr(ntheory, "_brent_rho", _rho_finds_nothing)
         q1 = sympy.nextprime(TRIAL_BOUND)
@@ -600,92 +599,45 @@ class TestTrialBlocks:
         fac = factorize(n)
         assert (fac.factors, fac.cofactor) == (((2, 1), (3, 1)), q1 * q2)
 
-    def test_small_factors_keep_the_floor_sieve(self):
-        # a fresh process, whose sieve no other test has grown; a full walk
-        # builds the list up to the trial bound once and never grows it
-        import primpair
-        src = str(Path(primpair.__file__).resolve().parent.parent)
-        script = (
-            "from primpair import ntheory\n"
-            "built = []\n"
-            "real = ntheory._eratosthenes\n"
-            "ntheory._eratosthenes = lambda k, b: built.append(b) or real(k, b)\n"
-            "ntheory.factor_prime_power_order(2, 22)\n"
-            "ntheory.factorize(242)\n"
-            "print(ntheory._sieve_limit, built)\n"
-            "ntheory.factorize(1000003 * 1000033)\n"
-            "print(ntheory._sieve_limit, built)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script],
-                              env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["65536 [65536]", "65536 [65536]"]
+    def test_seam_at_the_trial_bound(self, monkeypatch):
+        # 65,521 is the last trial prime, 65,537 the first prime above it:
+        # with rho stubbed, its square still falls to the perfect-power check
+        # and a product of two primes above the bound stays the cofactor
+        monkeypatch.setattr(ntheory, "_rho_hints", lambda: ())
+        monkeypatch.setattr(ntheory, "_brent_rho", _rho_finds_nothing)
+        assert primes_upto(TRIAL_BOUND)[-1] == 65521
+        assert sympy.nextprime(TRIAL_BOUND) == 65537
+        fac = factorize(65521 * 65537 ** 2)
+        assert fac.complete and fac.factors == ((65521, 1), (65537, 2))
+        fac = factorize(65537 * 65539)
+        assert (fac.factors, fac.cofactor) == ((), 65537 * 65539)
 
-    def test_grown_sieve_shares_the_old_primes(self):
-        # a fresh process: every trial block is cut from the first list, and
-        # the list that primes_upto grows past it starts with that list's int
-        # objects.  Growing takes no more traced memory than building the
-        # whole new list next to the old one, as the sieve once did.
-        import primpair
-        src = str(Path(primpair.__file__).resolve().parent.parent)
-        script = (
-            "import itertools, math, tracemalloc\n"
-            "import sympy\n"
-            "from primpair import ntheory\n"
-            "def whole(bound):\n"
-            "    flags = bytearray([1]) * (bound + 1)\n"
-            "    flags[0:2] = b'\\x00\\x00'\n"
-            "    for i in range(2, math.isqrt(bound) + 1):\n"
-            "        if flags[i]:\n"
-            "            flags[i * i :: i] = bytes((bound - i * i) // i + 1)\n"
-            "    return list(itertools.compress(range(bound + 1), flags))\n"
-            "def growth_peak(grow):\n"
-            "    tracemalloc.start()\n"
-            "    base = tracemalloc.get_traced_memory()[0]\n"
-            "    grow()\n"
-            "    peak = tracemalloc.get_traced_memory()[1] - base\n"
-            "    tracemalloc.stop()\n"
-            "    return peak\n"
-            "old = whole(1 << 16)\n"
-            "before = growth_peak(lambda: whole(10 ** 6))\n"
-            "del old\n"
-            "for i in range(len(ntheory.primes_upto(ntheory.TRIAL_BOUND)) // 256 + 1):\n"
-            "    ntheory._trial_block(i)\n"
-            "after = growth_peak(lambda: ntheory._sieve(10 ** 6))\n"
-            "print(after <= before, before, after)\n"
-            "primes = ntheory.primes_upto(10 ** 6)\n"
-            "print(ntheory._sieve_limit, all(\n"
-            "    p is q for i in range(len(primes) // 256 + 1)\n"
-            "    for p, q in zip(ntheory._trial_block(i)[0], primes[256 * i :])))\n"
-            "ntheory._sieve(3 * 10 ** 6)\n"
-            "grown = ntheory._sieve_primes\n"
-            "sympy.sieve.extend(3 * 10 ** 6)\n"
-            "print(grown == list(sympy.sieve.primerange(2, 3 * 10 ** 6 + 1)),\n"
-            "      all(p is q for p, q in zip(primes, grown)))\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script],
-                              env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        assert lines[0].split()[0] == "True", lines[0]
-        assert lines[1:] == ["1000000 True", "True True"]
+    def test_small_factors_keep_the_floor_sieve(self, sieve_bounds):
+        # a full walk builds the list up to the trial bound once, and no
+        # factorization sieves past it
+        factor_prime_power_order(2, 22)
+        factorize(242)
+        assert sieve_bounds == [TRIAL_BOUND]
+        factorize(1000003 * 1000033)
+        factor_prime_power_order(12547, 7)
+        assert sieve_bounds == [TRIAL_BOUND]
 
     @pytest.mark.parametrize("n,blocks", [
         (2 ** 10 * 3, [0]),                              # cofactor 1
         (2 * (10 ** 12 + 39), [0]),                      # prime cofactor
         (primes_upto(10 ** 4)[3 * 256 + 5] * (10 ** 12 + 39), [0, 1, 2, 3]),
-        (1000003 * 1000033, list(range(len(primes_upto(TRIAL_BOUND)) // 256 + 2))),
+        (1000003 * 1000033, list(range(-(-len(primes_upto(TRIAL_BOUND)) // 256)))),
     ])
     def test_walk_ends_at_the_exposing_block(self, monkeypatch, n, blocks):
+        # a block counts as walked once the loop comes back for the next one
         walked = []
-        real = ntheory._trial_block
+        real = ntheory._trial_blocks
 
-        def recording(i):
-            walked.append(i)
-            return real(i)
+        def recording():
+            for i, entry in enumerate(real()):
+                yield entry
+                walked.append(i)
 
-        monkeypatch.setattr(ntheory, "_trial_block", recording)
+        monkeypatch.setattr(ntheory, "_trial_blocks", recording)
         assert dict(factorize(n).factors) == sympy.factorint(n)
         assert walked == blocks

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from primpair import survey
+from primpair import cli, ntheory, survey
 from primpair.errors import OutOfScope
 from primpair.ffield import make_field
 from primpair.ntheory import FactorEffort, factorize
@@ -94,37 +94,26 @@ class TestSplitPrimePower:
             _split_prime_power(p)
 
     @staticmethod
-    def _sieve_limit_after_surveys(cache, ts):
-        """Exit codes of ``survey --t T`` on ``cache`` for each T, then the
-        sieve limit, in a fresh process whose sieve no test has grown."""
-        import primpair
-        src = os.path.dirname(os.path.dirname(primpair.__file__))
-        script = (
-            "import contextlib, io\n"
-            "from primpair import cli, ntheory\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    codes = [cli.main(['--cache', {str(cache)!r}, 'survey', '--t', str(t)])\n"
-            f"             for t in {list(ts)!r}]\n"
-            "print(*codes, ntheory._sieve_limit)\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script],
-                              env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.split()
+    def _survey_codes(capsys, cache, ts):
+        """Exit codes of ``survey --t T`` on ``cache`` for each T."""
+        codes = [cli.main(["--cache", str(cache), "survey", "--t", str(t)])
+                 for t in ts]
+        capsys.readouterr()
+        return codes
 
-    def test_warm_survey_keeps_the_small_sieve(self, tmp_path):
-        # on a warm cache nothing factors, so the sieve stays at its minimum
+    def test_warm_survey_keeps_the_small_sieve(self, sieve_bounds, capsys, tmp_path):
+        # on a warm cache nothing factors, and no sieve passes the trial bound
         cache = tmp_path / "cache.txt"
         shutil.copyfile(WARM_CACHE, cache)
-        assert self._sieve_limit_after_surveys(cache, [8]) == ["0", str(1 << 16)]
+        assert self._survey_codes(capsys, cache, [8]) == [0]
+        assert sieve_bounds == [ntheory.TRIAL_BOUND]
 
-    def test_cold_survey_keeps_the_small_sieve(self, tmp_path):
+    def test_cold_survey_keeps_the_small_sieve(self, sieve_bounds, capsys, tmp_path):
         # trial division never sieves past its bound; rho takes the larger
-        # factors of p^t - 1, so a cold survey keeps the sieve at its minimum
+        # factors of p^t - 1, so a cold survey builds the one list only
         cache = tmp_path / "cache.txt"
-        assert self._sieve_limit_after_surveys(cache, [9, 11]) == [
-            "0", "0", str(1 << 16)]
+        assert self._survey_codes(capsys, cache, [9, 11]) == [0, 0]
+        assert sieve_bounds == [ntheory.TRIAL_BOUND]
         assert cache.read_text().count("\n") > 0
 
 
