@@ -14,6 +14,7 @@ r is passed explicitly to every operation that involves traces.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from .errors import BudgetExceeded, NotADivisor, NotInSubfield, ZeroElement
 from .ffield import FieldCtx, FieldElement
 from .ntheory import factorize, is_prime, mobius, squarefree_divisors, euler_phi
-from .ratfunc import POLE, RationalFunction, eval_rational
+from .ratfunc import RationalFunction
 
 __all__ = [
     "LAB_CAP",
@@ -94,14 +95,25 @@ class _Lab:
             out = self._weights[k] = [th * o % ell for o in out]
         return out
 
+    @functools.cached_property
+    def unit_logs(self) -> list[int]:
+        """The discrete log of every unit, in element order."""
+        return list(map(self.ctx.discrete_log, self.ctx.units()))
+
+    @functools.cached_property
+    def traces_by_log(self) -> list[FieldElement]:
+        """Tr_r(g^l) for every l in [0, Q-1)."""
+        ctx, r = self.ctx, self.r
+        return [ctx.trace_rel(x, r) for x in ctx._exp]
+
     def rows(self, f: RationalFunction) -> list:
         """(eps, f(eps), Tr_r eps, Tr_r f(eps)) for eps outside P', in
         element order.  Built once per function; only the last f is kept."""
         last, rows = self._rows
         if last != f:
-            ctx, r = self.ctx, self.r
-            rows = [(eps, eps0, ctx.trace_rel(eps, r), ctx.trace_rel(eps0, r))
-                    for eps, eps0 in _outside_Pp(ctx, f)]
+            exp, tr = self.ctx._exp, self.traces_by_log
+            rows = [(exp[l], exp[l0], tr[l], tr[l0])
+                    for l, l0 in _outside_Pp(self.ctx, f, self.unit_logs)]
             self._rows = (f, rows)
         return rows
 
@@ -147,13 +159,15 @@ def _lab(ctx: FieldCtx, r: int) -> _Lab:
     return lab
 
 
-def _outside_Pp(ctx: FieldCtx, f: RationalFunction):
-    """(eps, f(eps)) for every eps outside P', i.e. with eps and f(eps) both
-    units, in element order."""
-    for eps in ctx.units():
-        eps0 = eval_rational(ctx, f, eps)
-        if eps0 is not POLE and not eps0.is_zero():
-            yield eps, eps0
+def _outside_Pp(ctx: FieldCtx, f: RationalFunction, unit_logs: list[int]):
+    """(log eps, log f(eps)) for every eps outside P', i.e. with eps and f(eps)
+    both units, in the order of unit_logs, from one log-domain pass per side:
+    log f(eps) = log scale + log num(eps) - log den(eps)."""
+    n = ctx.Q - 1
+    num, den = ctx.poly_logs(f.num), ctx.poly_logs(f.den)
+    scale = ctx.discrete_log(f.scale)
+    return [(l, (scale + num[l] - den[l]) % n) for l in unit_logs
+            if num[l] is not None and den[l] is not None]
 
 
 def characters_of_order(ctx: FieldCtx, s: int) -> list[int]:

@@ -4,7 +4,8 @@ polynomials over the field with the one Rabin irreducibility test.
 A tower F_p <= F_{p^t} with p = q^r is flattened into the single extension
 GF(q^{r*t}); the intermediate field is the fixed field of x -> x^(q^r).
 Small fields carry dense log/exp tables so multiplicative structure queries
-are O(1).
+are O(1), and a Zech table, built on first use, that evaluates a polynomial
+at every unit in the log domain.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import add
 
 from .errors import (
     BadSubfieldDegree,
@@ -282,7 +284,8 @@ def is_irreducible(ctx: FieldCtx, poly: Poly) -> bool:
 
 
 class FieldCtx:
-    """Arithmetic is fixed at construction; only labs and basis traces fill in."""
+    """Arithmetic is fixed at construction; only labs, basis traces and the
+    Zech table fill in."""
 
     def __init__(self, q: int, m: int, modulus: tuple[int, ...],
                  order_facts: Factorization,
@@ -306,6 +309,7 @@ class FieldCtx:
         self.generator: FieldElement | None = None
         self._exp: list[FieldElement] | None = None
         self._log: dict[int, int] | None = None
+        self._zech: list[int | None] | None = None
         # charsum labs and basis traces by subfield degree r die with the field
         self.labs: dict = {}
         self.basis_traces: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -490,11 +494,50 @@ class FieldCtx:
         """j with generator^j = eps, read from the log table."""
         if not eps:
             raise ZeroElement("discrete log of zero")
-        if self.generator is None:
-            raise FactorizationIncomplete("discrete log needs a generator")
         if self._log is None:
-            raise BudgetExceeded(f"GF({self.q}^{self.m}) is above the log-table cap")
+            raise self._no_tables()
         return self._log[eps]
+
+    def _no_tables(self) -> Exception:
+        """Why this field has no exp/log tables."""
+        if self.generator is None:
+            return FactorizationIncomplete("the log table needs a generator")
+        return BudgetExceeded(f"GF({self.q}^{self.m}) is above the log-table cap")
+
+    def zech(self) -> list[int | None]:
+        """Z[k] = log(1 + g^k) for k in [0, Q-1), None where 1 + g^k = 0
+        (Huber, Some comments on Zech's logarithms, IEEE Trans. Inf. Theory
+        36, 1990).  Read from the log table, built on first use."""
+        if self._zech is None:
+            if self._log is None:
+                raise self._no_tables()
+            log, one = self._log, self.one
+            self._zech = [log.get(self.add(x, one)) for x in self._exp]
+        return self._zech
+
+    def poly_logs(self, poly: Poly) -> list[int | None]:
+        """log P(g^l) for every l in [0, Q-1), None where P(g^l) = 0.
+
+        Horner's rule in the log domain, one coefficient c at a time over all
+        l: multiplying by g^l adds l, and adding c = g^k to g^s gives
+        g^(k + Z[s - k]).  A log s + l is below 2(Q-1) and 0 is marked by
+        2(Q-1), so a marked zero plus l lands in [2(Q-1), 3(Q-1)); one list
+        per coefficient maps all three ranges, and a step is a lookup per l."""
+        zech, n = self.zech(), self.Q - 1
+        zero = 2 * n
+        acc = [zero] * n
+        for c in reversed(poly.coeffs):
+            if c:
+                k = self._log[c]
+                shift = -k % n
+                row = [zero if z is None else (z + k) % n
+                       for z in zech[shift:] + zech[:shift]]
+                tail = k
+            else:
+                row, tail = list(range(n)), zero
+            step = row + row + [tail] * n
+            acc = list(map(step.__getitem__, map(add, acc, range(n))))
+        return [None if s == zero else s for s in acc]
 
     def __repr__(self):
         return f"FieldCtx(GF({self.q}^{self.m}))"

@@ -10,7 +10,6 @@ import pytest
 from primpair.charsum import (
     Lemma33Report,
     _lab,
-    _outside_Pp,
     canonical_additive,
     char_sum_chi,
     characters_of_order,
@@ -24,7 +23,7 @@ from primpair.charsum import (
 from primpair.errors import BadSubfieldDegree, NotADivisor, NotInSubfield, ZeroElement
 from primpair.ffield import make_field
 from primpair.ntheory import euler_phi, factorize, mobius
-from primpair import charsum
+from primpair import charsum, ratfunc
 from primpair.ratfunc import (
     POLE,
     Poly,
@@ -77,7 +76,10 @@ def _char_sum_triple_loop(ctx, f, a, b, s1, s2, r):
     mhat1, mhat2 = n // s1, n // s2
     add_roots = [cmath.exp(2j * cmath.pi * k / ctx.q) for k in range(ctx.q)]
     rows = []
-    for eps, eps0 in _outside_Pp(ctx, f):
+    for eps in ctx.units():
+        eps0 = eval_rational(ctx, f, eps)
+        if eps0 is POLE or eps0.is_zero():
+            continue
         k = (ctx.discrete_log(eps) * mhat1 + ctx.discrete_log(eps0) * mhat2) % n
         rows.append((eps, eps0, cmath.exp(2j * cmath.pi * k / n)))
     total = 0.0 + 0.0j
@@ -191,7 +193,7 @@ class TestLab:
         for n1, n2 in [(1, 1), (2, 1), (1, 2), (2, 2), (1, 0), (0, 1), (2, 0)]:
             f = sample_rational(ctx, n1, n2, rng)
             _, Pp = zero_pole_set(ctx, f)
-            pairs = list(_outside_Pp(ctx, f))
+            pairs = [(eps, eps0) for eps, eps0, _, _ in _lab(ctx, 1).rows(f)]
             assert [eps for eps, _ in pairs] == [
                 eps for eps in ctx.elements() if eps not in Pp]
             assert all(eps0 == eval_rational(ctx, f, eps) for eps, eps0 in pairs)
@@ -351,19 +353,27 @@ class TestRowCache:
         assert _lab(one, 1).rows(f) != _lab(other, 1).rows(f)
 
     def test_evaluates_each_function_once(self, monkeypatch):
+        # one log-domain pass per side of f, and no per-element evaluation:
+        # eval_rational and zero_pole_set both go through ratfunc.poly_eval
         ctx = make_field(3, 4)
         f = sample_rational(ctx, 1, 1, random.Random(15))
-        calls = []
+        passes = []
+        poly_logs = ctx.poly_logs
 
-        def counting(ctx, f, eps):
-            calls.append(eps)
-            return eval_rational(ctx, f, eps)
+        def counting(poly):
+            passes.append(poly)
+            return poly_logs(poly)
 
-        monkeypatch.setattr(charsum, "eval_rational", counting)
+        def refuse(*args):
+            raise AssertionError("per-element evaluation")
+
+        monkeypatch.setattr(ctx, "poly_logs", counting)
+        monkeypatch.setattr(ratfunc, "poly_eval", refuse)
         rep = verify_lemma33(ctx, f, ctx.zero, ctx.one, 1, 1)
         assert len(rep.sieve_primes) == 2       # 80 = 2^4 * 5: 2m + 2 = 6 counts
         count_A_direct(ctx, f, ctx.one, ctx.one, 2, 5, 1, check_expansion=True)
-        assert calls == list(ctx.units())
+        assert passes == [f.num, f.den]
+        assert not hasattr(charsum, "eval_rational")
 
     def test_expansion_does_not_read_cached_traces(self):
         # one cached Tr(eps) off moves the direct count but not the
@@ -376,6 +386,47 @@ class TestRowCache:
         rows[0] = (eps, eps0, ctx.add(tr, ctx.one), tr0)
         with pytest.raises(AssertionError, match="expansion"):
             count_A_direct(ctx, f, tr, tr0, 1, 1, 1, check_expansion=True)
+
+
+LOG_DOMAIN_FIELDS = [(2, 4, 1), (2, 4, 2), (2, 7, 1), (3, 4, 1), (3, 5, 1),
+                     (5, 3, 1)]
+
+
+def _rows_per_element(ctx, f, r):
+    """The rows from eval_rational, zero_pole_set and trace_rel per unit."""
+    _, Pp = zero_pole_set(ctx, f)
+    rows = []
+    for eps in ctx.units():
+        eps0 = eval_rational(ctx, f, eps)
+        if eps in Pp:
+            assert eps0 is POLE or eps0.is_zero()
+            continue
+        rows.append((eps, eps0, ctx.trace_rel(eps, r), ctx.trace_rel(eps0, r)))
+    return rows
+
+
+class TestLogDomain:
+    """The rows come from one log-domain pass per side of f; they equal the
+    per-element evaluation on every unit."""
+
+    @pytest.mark.parametrize("q,m,r", LOG_DOMAIN_FIELDS)
+    def test_every_class(self, q, m, r):
+        ctx = make_field(q, m)
+        rng = random.Random(q * m + r)
+        for n1, n2 in [(0, 1), (1, 0), (1, 1), (2, 1), (1, 2), (2, 2)]:
+            f = sample_rational(ctx, n1, n2, rng)
+            assert _lab(ctx, r).rows(f) == _rows_per_element(ctx, f, r)
+
+    @pytest.mark.parametrize("q,m,r", LOG_DOMAIN_FIELDS)
+    def test_zero_inner_coefficients(self, q, m, r):
+        # x and x^2 + c: Horner steps that add 0 only multiply by g^l
+        ctx = make_field(q, m)
+        x = Poly((ctx.zero, ctx.one))
+        for i in (1, 2, ctx.Q - 1):
+            c = ctx.from_index(i)
+            x2c = Poly((c, ctx.zero, ctx.one))
+            for f in (RationalFunction(c, x, x2c), RationalFunction(ctx.one, x2c, x)):
+                assert _lab(ctx, r).rows(f) == _rows_per_element(ctx, f, r)
 
 
 class TestCountA:

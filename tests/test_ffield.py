@@ -17,7 +17,14 @@ from primpair.errors import (
     NotADivisor,
     ZeroElement,
 )
-from primpair.ffield import FieldElement, Poly, _Kernel, is_irreducible, make_field
+from primpair.ffield import (
+    FieldElement,
+    Poly,
+    _Kernel,
+    is_irreducible,
+    make_field,
+    poly_eval,
+)
 from primpair.ntheory import FactorCache, FactorEffort, euler_phi, factorize
 
 
@@ -348,6 +355,50 @@ class TestMultiplicativeStructure:
         ctx = make_field(2, 13, table_cap=1)
         with pytest.raises(BudgetExceeded):
             ctx.discrete_log(ctx.generator)
+
+
+class TestZech:
+    @pytest.mark.parametrize("q,m", [(2, 4), (2, 7), (3, 4), (3, 5), (5, 3)])
+    def test_table_is_log_of_one_plus(self, q, m):
+        # Z[k] = log(1 + g^k); 1 + g^k = 0 only at g^k = -1
+        ctx = make_field(q, m)
+        n = ctx.Q - 1
+        zech = ctx.zech()
+        assert len(zech) == n
+        for k, z in enumerate(zech):
+            s = ctx.add(ctx.pow(ctx.generator, k), ctx.one)
+            assert z == (None if s.is_zero() else ctx.discrete_log(s))
+        assert [k for k, z in enumerate(zech) if z is None] == [0 if q == 2 else n // 2]
+
+    def test_built_once_on_first_use(self):
+        ctx = make_field(3, 4)
+        assert ctx._zech is None
+        assert ctx.zech() is ctx.zech()
+
+    def test_needs_table(self):
+        ctx = make_field(2, 13, table_cap=1)
+        with pytest.raises(BudgetExceeded):
+            ctx.zech()
+        with pytest.raises(BudgetExceeded):
+            ctx.poly_logs(Poly((ctx.one,)))
+
+    @pytest.mark.parametrize("q,m", [(2, 4), (3, 4), (5, 3)])
+    def test_poly_logs_match_horner(self, q, m):
+        # sparse, constant and zero polynomials, and a dense random one
+        ctx = make_field(q, m)
+        rng = random.Random(q * m)
+        zero, one, x = ctx.zero, ctx.one, ctx.from_index(q)
+        c = ctx.from_index(rng.randrange(1, ctx.Q))
+        polys = [(), (one,), (c,), (zero, one), (c, zero, one), (zero, zero, one),
+                 (zero, one, zero, one), (x, zero, zero, c),
+                 tuple(ctx.from_index(rng.randrange(ctx.Q)) for _ in range(4)) + (c,)]
+        for coeffs in polys:
+            poly = Poly(coeffs)
+            got = ctx.poly_logs(poly)
+            assert len(got) == ctx.Q - 1
+            for l, v in enumerate(got):
+                y = poly_eval(ctx, poly, ctx.pow(ctx.generator, l))
+                assert v == (None if y.is_zero() else ctx.discrete_log(y))
 
 
 def _frobenius_reference(ctx, eps, r):

@@ -1,5 +1,6 @@
 """Number-theory layer, checked against sympy as an independent oracle."""
 
+import bisect
 import itertools
 import math
 import sys
@@ -107,9 +108,12 @@ class TestPrimes:
     def test_limits_after_a_larger_sieve(self):
         # either side of the one list's end, 65,537 being the prime above it
         primes_upto(10 ** 6)
+        # one oracle list, sliced per limit, from sympy's stored sieve, which
+        # extends itself: sympy.primerange re-sieves past it on every call
+        oracle = list(sympy.sieve.primerange(2, 10 ** 6 + 1))
         for limit in (0, 1, 2, 7918, 7919, TRIAL_BOUND - 1, TRIAL_BOUND,
                       TRIAL_BOUND + 1, 10 ** 6):
-            assert primes_upto(limit) == list(sympy.primerange(2, limit + 1))
+            assert primes_upto(limit) == oracle[:bisect.bisect_right(oracle, limit)]
 
     def test_returned_list_is_a_copy(self):
         for limit in (100, TRIAL_BOUND, 2 * TRIAL_BOUND):
