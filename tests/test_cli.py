@@ -375,6 +375,14 @@ LAB_DIGESTS = {
     ("lemma33", 3, 3, 1, 1): "01ff2d48783484fb137ba09c28ffa775aba7baec016464a62a3e842aa2838bb2",
     ("lemma33", 2, 4, 2, 0): "fdb738336fc7af0521105c164e8d016bd3c1db3b66b1898c92228017240dbf89",
     ("lemma33", 2, 4, 2, 1): "2ea84516eceaaed2f2aefe4dbbd417f125b77bdd1cd315ad94825c13f3634b44",
+    ("weil", 3, 3, 1, 0): "673d196981eb3684d91142201d6a8a113d633c38a23d7c91effc0b57b1246e78",
+    ("weil", 3, 3, 1, 1): "71e894f80eb810dc1128c5e031bd583c9ed692103b9c7ee38eb0ce0f1de7dd16",
+    ("weil", 2, 4, 2, 0): "e660f23bb92f54958c5d339ef99430f492768f8575efac2d21ea3d60f7cc52c0",
+    ("weil", 2, 4, 2, 1): "a27b011d903155479a41c8e8d68fc04ae4330f7f5f9f21bbca69a1412d56fcef",
+    ("indicators", 3, 3, 1, 0): "0f34cd4c1b6f386cab5059e26d6e3b9abd91d54582838c9095399559f8270d43",
+    ("indicators", 3, 3, 1, 1): "44e969fbe4e0473832b4e56b753c04092bbc1418f2738148d9482047efaa5ba9",
+    ("indicators", 2, 4, 2, 0): "e6d61c18d5ec3bce20ae54f1ede9a69a4c52dca932e057c2f8cba8f07cbe81c1",
+    ("indicators", 2, 4, 2, 1): "755b4f7ea6d34e1511134aa6bf9dab2fce6fcb43166f698d6cfe034af3bab170",
 }
 
 
