@@ -1,14 +1,18 @@
 """Character-sum laboratory on small fields.
 
+The lab works on discrete logs: a unit is its log l, eps = g^l, and each
+function f is the list of pairs (log eps, log f(eps)) over eps outside P'.
 Character values are residues mod ell, the least prime = 1 mod q(Q-1), in
-powers of a root z of order q(Q-1): chi(g^j) = z^(q j mhat) for the character
-of exponent multiplier mhat, and psi(x) = z^((Q-1) Tr(x)) on the absolute
-trace.  p, phi(s) and k are units mod ell and every count is below ell, so
-the indicators and the count-A expansion are checked exactly; only
-char_sum_chi, whose absolute value the Weil bound is about, is complex.
+powers of a root z of order q(Q-1): chi(g^l) = z^(q l mhat) for the character
+of exponent multiplier mhat, and psi(g^l) = z^((Q-1) Tr(g^l)) on the absolute
+trace, one table by log.  p, phi(s) and k are units mod ell and every count
+is below ell, so the indicators and the count-A expansion are checked
+exactly; only char_sum_chi, whose absolute value the Weil bound is about, is
+complex.
 
 The field is GF(q^m) = F_{p^t} with p = q^r and t = m/r; the subfield degree
-r is passed explicitly to every operation that involves traces.
+r is passed explicitly to every operation that involves traces.  Every order
+(of a character, or u of a u-free test) must be a positive divisor of Q-1.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ __all__ = [
     "LAB_CAP",
     "theta",
     "characters_of_order",
-    "canonical_additive",
     "rho_indicator",
     "tau_indicator",
     "char_sum_chi",
@@ -48,7 +51,8 @@ def theta(u: int) -> float:
 
 class _Lab:
     """F_ell and its roots of unity, the subfield and the two indicator
-    expansions (rho by discrete log, shifted tau) for one (ctx, r)."""
+    expansions (rho and shifted tau, both read by discrete log) for one
+    (ctx, r), and the log pairs of the last function asked."""
 
     def __init__(self, ctx: FieldCtx, r: int):
         if ctx.Q > LAB_CAP:
@@ -70,6 +74,8 @@ class _Lab:
         self.add_roots = [pow(z, n * k, ell) for k in range(ctx.q)]
         self.inv_p = pow(self.p, -1, ell)
         self.subfield = ctx.subfield_elements(r)
+        # log u for every nonzero u of the subfield, in subfield order
+        self.subfield_logs = list(map(ctx.discrete_log, self.subfield[1:]))
         # Tr_{F_Q/F_p}(w) = 1, so Tr_{F_p/F_q}(z) = Tr_{F_Q/F_q}(z w) on F_p
         self.w = next(x for x in ctx.elements() if ctx.trace_rel(x, r) == ctx.one)
         self._weights: dict[int, list[int]] = {}
@@ -106,21 +112,29 @@ class _Lab:
         ctx, r = self.ctx, self.r
         return [ctx.trace_rel(x, r) for x in ctx._exp]
 
-    def rows(self, f: RationalFunction) -> list:
-        """(eps, f(eps), Tr_r eps, Tr_r f(eps)) for eps outside P', in
-        element order.  Built once per function; only the last f is kept."""
+    @functools.cached_property
+    def psi_by_log(self) -> list[int]:
+        """The canonical additive character psi(g^l) = add_roots[Tr_{Q/q}(g^l)]
+        for every l in [0, Q-1), from the absolute trace, so that the
+        expansion never reads traces_by_log."""
+        ctx, roots = self.ctx, self.add_roots
+        return [roots[ctx.trace_rel(x, 1)] for x in ctx._exp]
+
+    def rows(self, f: RationalFunction) -> list[tuple[int, int]]:
+        """(log eps, log f(eps)) for every eps outside P', i.e. with eps and
+        f(eps) both units, in element order, from one log-domain pass per
+        side: log f(eps) = log scale + log num(eps) - log den(eps).  Built
+        once per function; only the last f is kept."""
         last, rows = self._rows
         if last != f:
-            exp, tr = self.ctx._exp, self.traces_by_log
-            rows = [(exp[l], exp[l0], tr[l], tr[l0])
-                    for l, l0 in _outside_Pp(self.ctx, f, self.unit_logs)]
+            ctx = self.ctx
+            n = ctx.Q - 1
+            num, den = ctx.poly_logs(f.num), ctx.poly_logs(f.den)
+            scale = ctx.discrete_log(f.scale)
+            rows = [(l, (scale + num[l] - den[l]) % n) for l in self.unit_logs
+                    if num[l] is not None and den[l] is not None]
             self._rows = (f, rows)
         return rows
-
-    def chi(self, mhat: int, x: FieldElement) -> int:
-        if x.is_zero():
-            raise ZeroElement("multiplicative character at zero")
-        return self.mult_roots[self.ctx.discrete_log(x) * mhat % (self.ctx.Q - 1)]
 
     def sub_trace(self, z: FieldElement) -> int:
         """Tr_{F_p/F_q}(z) for z in F_p, the index of psi0_sub(z)."""
@@ -128,10 +142,6 @@ class _Lab:
             raise NotInSubfield(f"element index {self.ctx.to_index(z)} "
                                 f"not fixed by Frobenius^{self.r}")
         return self.ctx.trace_rel(self.ctx.mul(z, self.w), 1)
-
-    def psi_hat0(self, x: FieldElement) -> int:
-        """Canonical additive character of the big field."""
-        return self.add_roots[self.ctx.trace_rel(x, 1)]
 
     def psi0_sub(self, z: FieldElement) -> int:
         """Canonical additive character of the subfield F_p at z in F_p."""
@@ -142,13 +152,15 @@ class _Lab:
         ctx = self.ctx
         return [self.psi0_sub(ctx.neg(ctx.mul(u, a))) for u in self.subfield]
 
-    def tau(self, shift: list[int], x: FieldElement) -> int:
-        """Indicator of Tr(x) = a in shifted-canonical form, for
+    def tau(self, shift: list[int], l: int) -> int:
+        """Indicator of Tr(g^l) = a in shifted-canonical form, for
         shift = self.shift(a): (1/p) * sum over u in F_p of
-        psi_hat0(u x) * psi0(-u a)."""
-        ctx = self.ctx
-        return sum(self.psi_hat0(ctx.mul(u, x)) * s
-                   for u, s in zip(self.subfield, shift)) * self.inv_p % self.ell
+        psi(u g^l) * psi0(-u a), where psi(0) = 1 and psi(u g^l) is read
+        at log u + l."""
+        psi, n = self.psi_by_log, self.ctx.Q - 1
+        total = shift[0] + sum(psi[(j + l) % n] * s
+                               for j, s in zip(self.subfield_logs, shift[1:]))
+        return total * self.inv_p % self.ell
 
 
 def _lab(ctx: FieldCtx, r: int) -> _Lab:
@@ -159,36 +171,19 @@ def _lab(ctx: FieldCtx, r: int) -> _Lab:
     return lab
 
 
-def _outside_Pp(ctx: FieldCtx, f: RationalFunction, unit_logs: list[int]):
-    """(log eps, log f(eps)) for every eps outside P', i.e. with eps and f(eps)
-    both units, in the order of unit_logs, from one log-domain pass per side:
-    log f(eps) = log scale + log num(eps) - log den(eps)."""
-    n = ctx.Q - 1
-    num, den = ctx.poly_logs(f.num), ctx.poly_logs(f.den)
-    scale = ctx.discrete_log(f.scale)
-    return [(l, (scale + num[l] - den[l]) % n) for l in unit_logs
-            if num[l] is not None and den[l] is not None]
-
-
 def characters_of_order(ctx: FieldCtx, s: int) -> list[int]:
     """Exponent multipliers of the phi(s) characters of exact order s."""
+    ctx._check_orders(s)
     n = ctx.Q - 1
-    if n % s != 0:
-        raise NotADivisor(f"{s} does not divide {n}")
     step = n // s
     return [step * c % n for c in range(1, s + 1) if math.gcd(c, s) == 1]
-
-
-def canonical_additive(ctx: FieldCtx, eps: FieldElement, r: int = 1) -> int:
-    return _lab(ctx, r).psi_hat0(eps)
 
 
 def rho_indicator(ctx: FieldCtx, u: int, eps: FieldElement, r: int = 1) -> int:
     """Indicator of u-free units, via the explicit character expansion: 0 or 1."""
     if eps.is_zero():
         raise ZeroElement("rho is defined on units")
-    if (ctx.Q - 1) % u != 0:
-        raise NotADivisor(f"{u} does not divide {ctx.Q - 1}")
+    ctx._check_orders(u)
     lab = _lab(ctx, r)
     return lab.weights(u)[ctx.discrete_log(eps)]
 
@@ -202,7 +197,10 @@ def tau_indicator(ctx: FieldCtx, a: FieldElement, eps: FieldElement, r: int) -> 
     diff = ctx.sub(ctx.trace_rel(eps, r), a)
     direct = (sum(lab.psi0_sub(ctx.mul(u, diff)) for u in lab.subfield)
               * lab.inv_p % lab.ell)
-    shifted = lab.tau(lab.shift(a), eps)
+    shift = lab.shift(a)
+    # psi(u * 0) = 1 for every u, so at eps = 0 the form is sum(shift) / p
+    shifted = (sum(shift) * lab.inv_p % lab.ell if eps.is_zero()
+               else lab.tau(shift, ctx.discrete_log(eps)))
     if direct != shifted:
         raise AssertionError(
             f"additive-character forms disagree: {direct} vs {shifted}")
@@ -215,19 +213,17 @@ def char_sum_chi(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
     for the pair of characters chi^((Q-1)/s1), chi^((Q-1)/s2) of exact
     orders s1 and s2."""
     lab = _lab(ctx, r)
+    ctx._check_orders(s1, s2)
     n = ctx.Q - 1
-    if n % s1 or n % s2:
-        raise NotADivisor("character orders must divide Q - 1")
     mhat1, mhat2 = n // s1, n // s2
     add_roots = [cmath.exp(2j * cmath.pi * k / ctx.q) for k in range(ctx.q)]
     sub = lab.subfield
     pos = {z: i for i, z in enumerate(sub)}
+    tr = lab.traces_by_log
     # per-eps data reused across the (u, v) loop: the character value and
     # the subfield positions of Tr_r eps and Tr_r f(eps)
-    rows = []
-    for eps, eps0, tr, tr0 in lab.rows(f):
-        k = (ctx.discrete_log(eps) * mhat1 + ctx.discrete_log(eps0) * mhat2) % n
-        rows.append((cmath.exp(2j * cmath.pi * k / n), pos[tr], pos[tr0]))
+    rows = [(cmath.exp(2j * cmath.pi * ((l * mhat1 + l0 * mhat2) % n) / n),
+             pos[tr[l]], pos[tr[l0]]) for l, l0 in lab.rows(f)]
     # Tr_{Q/q}(u eps + v eps0) = Tr_{p/q}(u Tr_r eps) + Tr_{p/q}(v Tr_r eps0),
     # by transitivity and F_q-linearity of the trace
     sub_tr = [[lab.sub_trace(ctx.mul(u, z)) for z in sub] for u in sub]
@@ -251,12 +247,12 @@ def count_A_direct(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
     Optionally re-derives the count through the character-sum expansion and
     checks agreement; both are below ell, so agreement mod ell is equality."""
     lab = _lab(ctx, r)
-    n = ctx.Q - 1
-    if n % k1 or n % k2:
-        raise NotADivisor("k1, k2 must divide Q - 1")
-    count = sum(1 for eps, eps0, tr, tr0 in lab.rows(f)
-                if tr == a and tr0 == b
-                and ctx.is_ufree(eps, k1) and ctx.is_ufree(eps0, k2))
+    ctx._check_orders(k1, k2)
+    tr = lab.traces_by_log
+    # for k | Q-1, g^l is k-free exactly when gcd(l, k) = 1
+    count = sum(1 for l, l0 in lab.rows(f)
+                if tr[l] == a and tr[l0] == b
+                and math.gcd(l, k1) == 1 and math.gcd(l0, k2) == 1)
     if check_expansion:
         expansion = _count_A_expansion(ctx, f, a, b, k1, k2, r)
         if expansion != count:
@@ -270,15 +266,13 @@ def _count_A_expansion(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
     """The full character-sum expansion mod ell, with the sums over character
     pairs and (u, v) regrouped per eps (an exact reordering of finite sums).
     Uses only character arithmetic, never the boolean freeness/trace tests
-    nor the rows' cached traces."""
+    nor traces_by_log."""
     lab = _lab(ctx, r)
-    rho1 = lab.weights(k1)
-    rho2 = lab.weights(k2)
+    rho1, rho2 = lab.weights(k1), lab.weights(k2)
     shift_a, shift_b = lab.shift(a), lab.shift(b)
-    total = 0
-    for eps, eps0, _, _ in lab.rows(f):
-        total += (rho1[ctx.discrete_log(eps)] * rho2[ctx.discrete_log(eps0)]
-                  * lab.tau(shift_a, eps) * lab.tau(shift_b, eps0))
+    tau = lab.tau
+    total = sum(rho1[l] * rho2[l0] * tau(shift_a, l) * tau(shift_b, l0)
+                for l, l0 in lab.rows(f))
     return total % lab.ell
 
 
@@ -297,10 +291,9 @@ class Lemma32Report:
 
 def verify_lemma32(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
                    b: FieldElement, k: int, m_prime: int, r: int) -> Lemma32Report:
-    n = ctx.Q - 1
-    if n % k or n % m_prime or not is_prime(m_prime) or k % m_prime == 0:
-        raise NotADivisor(
-            "need k | Q-1 and m a prime dividing Q-1 but not k")
+    ctx._check_orders(k, m_prime)
+    if not is_prime(m_prime) or k % m_prime == 0:
+        raise NotADivisor("need m a prime dividing Q-1 but not k")
     lab = _lab(ctx, r)
     A_kk = count_A_direct(ctx, f, a, b, k, k, r, check_expansion=False)
     A_mk_k = count_A_direct(ctx, f, a, b, m_prime * k, k, r, check_expansion=False)
@@ -330,9 +323,8 @@ class Lemma33Report:
 
 def verify_lemma33(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
                    b: FieldElement, k: int, r: int) -> Lemma33Report:
+    ctx._check_orders(k)
     n = ctx.Q - 1
-    if n % k:
-        raise NotADivisor(f"{k} does not divide {n}")
     sieve = tuple(q for q in ctx.order_facts.primes() if k % q != 0)
     m = len(sieve)
     A_full = count_A_direct(ctx, f, a, b, n, n, r, check_expansion=False)

@@ -178,25 +178,11 @@ def poly_one(ctx: FieldCtx) -> Poly:
     return Poly((ctx.one,))
 
 
-def poly_x(ctx: FieldCtx) -> Poly:
-    return Poly((ctx.zero, ctx.one))
-
-
 def poly_eval(ctx: FieldCtx, poly: Poly, x: FieldElement) -> FieldElement:
     acc = ctx.zero
     for c in reversed(poly.coeffs):
         acc = ctx.add(ctx.mul(acc, x), c)
     return acc
-
-
-def poly_add(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
-    n = max(len(a.coeffs), len(b.coeffs))
-    out = []
-    for i in range(n):
-        x = a.coeffs[i] if i < len(a.coeffs) else ctx.zero
-        y = b.coeffs[i] if i < len(b.coeffs) else ctx.zero
-        out.append(ctx.add(x, y))
-    return make_poly(ctx, out)
 
 
 def poly_scale(ctx: FieldCtx, a: Poly, c: FieldElement) -> Poly:
@@ -272,11 +258,13 @@ def is_irreducible(ctx: FieldCtx, poly: Poly) -> bool:
             h = kernel.reduce(kernel.powmod(x, e) + (ctx.q - 1) * x)
             return make_poly(ctx, map(FieldElement, kernel.unpack(h)))
     else:
-        x = poly_x(ctx)
-        minus_x = poly_scale(ctx, x, ctx.neg(ctx.one))
+        x = Poly((ctx.zero, ctx.one))
 
         def x_power_minus_x(e):
-            return poly_add(ctx, _poly_powmod(ctx, x, e, poly), minus_x)
+            h = list(_poly_powmod(ctx, x, e, poly).coeffs)
+            h += [ctx.zero] * (2 - len(h))
+            h[1] = ctx.sub(h[1], ctx.one)
+            return make_poly(ctx, h)
     for ell in {p for p in range(2, d + 1) if d % p == 0 and is_prime(p)}:
         if poly_gcd(ctx, poly, x_power_minus_x(ctx.Q ** (d // ell))).degree != 0:
             return False
@@ -416,6 +404,13 @@ class FieldCtx:
         if r < 1 or self.m % r:
             raise BadSubfieldDegree(f"{r} is not a positive divisor of {self.m}")
 
+    def _check_orders(self, *orders: int) -> None:
+        """Every order, of a character or of a u-free test, is a positive
+        divisor of Q - 1."""
+        for k in orders:
+            if k < 1 or (self.Q - 1) % k:
+                raise NotADivisor(f"{k} is not a positive divisor of {self.Q - 1}")
+
     def _trace_columns(self, r: int) -> tuple[tuple[int, int], ...]:
         """(k, column k packed in reverse) for each coordinate k that Tr can
         make nonzero: slot m-1-i of column k is coordinate k of Tr(x^i), so
@@ -467,8 +462,7 @@ class FieldCtx:
         """gcd(u, (Q-1)/order) = 1; u-free per the character-sum setup."""
         if not eps:
             raise ZeroElement("u-free is defined on units only")
-        if (self.Q - 1) % u != 0:
-            raise NotADivisor(f"{u} does not divide {self.Q - 1}")
+        self._check_orders(u)
         return math.gcd(u, (self.Q - 1) // self.element_order(eps)) == 1
 
     def in_subfield(self, x: FieldElement, r: int) -> bool:

@@ -10,7 +10,6 @@ import pytest
 from primpair.charsum import (
     Lemma33Report,
     _lab,
-    canonical_additive,
     char_sum_chi,
     characters_of_order,
     count_A_direct,
@@ -94,6 +93,35 @@ def _char_sum_triple_loop(ctx, f, a, b, s1, s2, r):
     return total
 
 
+class TestOrderChecks:
+    """Every order is a positive divisor of Q - 1 = 26: 0 and the divisor
+    -2 raise NotADivisor at each entry point that takes one, FieldCtx.is_ufree
+    among them."""
+
+    ENTRY_POINTS = {
+        "rho_indicator": lambda ctx, f, z, k: rho_indicator(ctx, k, ctx.one),
+        "characters_of_order": lambda ctx, f, z, k: characters_of_order(ctx, k),
+        "char_sum_chi_s1": lambda ctx, f, z, k: char_sum_chi(ctx, f, z, z, k, 2, 1),
+        "char_sum_chi_s2": lambda ctx, f, z, k: char_sum_chi(ctx, f, z, z, 2, k, 1),
+        "count_A_direct_k1": lambda ctx, f, z, k: count_A_direct(
+            ctx, f, z, z, k, 1, 1, check_expansion=False),
+        "count_A_direct_k2": lambda ctx, f, z, k: count_A_direct(
+            ctx, f, z, z, 1, k, 1, check_expansion=False),
+        "verify_lemma32_k": lambda ctx, f, z, k: verify_lemma32(ctx, f, z, z, k, 13, 1),
+        # m = 13k/2: 0, or the prime divisor 13 with its sign flipped
+        "verify_lemma32_m": lambda ctx, f, z, k: verify_lemma32(
+            ctx, f, z, z, 1, 13 * k // 2, 1),
+        "verify_lemma33": lambda ctx, f, z, k: verify_lemma33(ctx, f, z, z, k, 1),
+        "is_ufree": lambda ctx, f, z, k: ctx.is_ufree(ctx.one, k),
+    }
+
+    @pytest.mark.parametrize("k", [0, -2])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejected(self, gf27, entry, k):
+        with pytest.raises(NotADivisor, match="is not a positive divisor of 26"):
+            self.ENTRY_POINTS[entry](gf27, _inverse_map(gf27), gf27.zero, k)
+
+
 class TestTheta:
     def test_values(self):
         assert theta(1) == 1.0
@@ -111,35 +139,42 @@ class TestCharacters:
         with pytest.raises(NotADivisor):
             characters_of_order(gf128, 3)
 
+    # chi(g^j) = mult_roots[j * mhat mod (Q-1)] and psi(x) = add_roots[Tr x]
     def test_multiplicativity(self, gf27):
         mhat = characters_of_order(gf27, 13)[0]
         rng = random.Random(0)
         lab = _lab(gf27, 1)
+
+        def chi(x):
+            return lab.mult_roots[gf27.discrete_log(x) * mhat % 26]
+
         for _ in range(30):
             x = gf27.from_index(rng.randrange(1, 27))
             y = gf27.from_index(rng.randrange(1, 27))
-            lhs = lab.chi(mhat, gf27.mul(x, y))
-            rhs = lab.chi(mhat, x) * lab.chi(mhat, y) % lab.ell
-            assert lhs == rhs
+            assert chi(gf27.mul(x, y)) == chi(x) * chi(y) % lab.ell
 
     def test_additive_character_homomorphism(self, gf27):
         rng = random.Random(1)
-        ell = _lab(gf27, 1).ell
+        lab = _lab(gf27, 1)
+
+        def psi(x):
+            return lab.add_roots[gf27.trace_rel(x, 1)]
+
         for _ in range(30):
             x = gf27.from_index(rng.randrange(27))
             y = gf27.from_index(rng.randrange(27))
-            lhs = canonical_additive(gf27, gf27.add(x, y))
-            rhs = canonical_additive(gf27, x) * canonical_additive(gf27, y) % ell
-            assert lhs == rhs
+            assert psi(gf27.add(x, y)) == psi(x) * psi(y) % lab.ell
 
     def test_additive_orthogonality(self, gf25):
-        total = sum(canonical_additive(gf25, x) for x in gf25.elements())
-        assert total % _lab(gf25, 1).ell == 0
+        lab = _lab(gf25, 1)
+        total = sum(lab.add_roots[gf25.trace_rel(x, 1)] for x in gf25.elements())
+        assert total % lab.ell == 0
 
     def test_multiplicative_orthogonality(self, gf25):
         lab = _lab(gf25, 1)
         mhat = characters_of_order(gf25, 3)[0]
-        total = sum(lab.chi(mhat, x) for x in gf25.units())
+        total = sum(lab.mult_roots[gf25.discrete_log(x) * mhat % 24]
+                    for x in gf25.units())
         assert total % lab.ell == 0
 
 
@@ -193,10 +228,10 @@ class TestLab:
         for n1, n2 in [(1, 1), (2, 1), (1, 2), (2, 2), (1, 0), (0, 1), (2, 0)]:
             f = sample_rational(ctx, n1, n2, rng)
             _, Pp = zero_pole_set(ctx, f)
-            pairs = [(eps, eps0) for eps, eps0, _, _ in _lab(ctx, 1).rows(f)]
-            assert [eps for eps, _ in pairs] == [
-                eps for eps in ctx.elements() if eps not in Pp]
-            assert all(eps0 == eval_rational(ctx, f, eps) for eps, eps0 in pairs)
+            outside = [eps for eps in ctx.elements() if eps not in Pp]
+            assert _lab(ctx, 1).rows(f) == [
+                (ctx.discrete_log(eps), ctx.discrete_log(eval_rational(ctx, f, eps)))
+                for eps in outside]
 
 
 class TestRhoIndicator:
@@ -278,6 +313,9 @@ class TestExactChecks:
         roots = list(lab.add_roots)
         roots[1] = roots[0]             # the next root of order q = 2
         monkeypatch.setattr(lab, "add_roots", roots)
+        # the shifted form reads psi from its table by log: the same slip
+        # there, where Tr(g^l) = 1
+        monkeypatch.setattr(lab, "psi_by_log", [roots[0]] * (ctx.Q - 1))
         rng = random.Random(6)
         for _ in range(20):
             eps = ctx.from_index(rng.randrange(ctx.Q))
@@ -375,15 +413,33 @@ class TestRowCache:
         assert passes == [f.num, f.den]
         assert not hasattr(charsum, "eval_rational")
 
-    def test_expansion_does_not_read_cached_traces(self):
-        # one cached Tr(eps) off moves the direct count but not the
-        # expansion, which takes tau from psi_hat0(u eps)
+    def test_expansion_does_not_read_cached_traces(self, monkeypatch):
+        # one cached Tr(g^l) off moves the direct count but not the
+        # expansion, which takes tau from psi_by_log
         ctx = make_field(3, 3)
         f = _inverse_map(ctx)
-        rows = _lab(ctx, 1).rows(f)
-        eps, eps0, tr, tr0 = rows[0]
+        lab = _lab(ctx, 1)
+        l, l0 = next((l, l0) for l, l0 in lab.rows(f) if l != l0)
+        traces = list(lab.traces_by_log)
+        tr, tr0 = traces[l], traces[l0]
         assert count_A_direct(ctx, f, tr, tr0, 1, 1, 1, check_expansion=True) > 0
-        rows[0] = (eps, eps0, ctx.add(tr, ctx.one), tr0)
+        traces[l] = ctx.add(tr, ctx.one)
+        monkeypatch.setattr(lab, "traces_by_log", traces)
+        with pytest.raises(AssertionError, match="expansion"):
+            count_A_direct(ctx, f, tr, tr0, 1, 1, 1, check_expansion=True)
+
+    def test_expansion_reads_its_own_characters(self, monkeypatch):
+        # the converse: one psi(g^l) off moves the expansion but not the
+        # direct count, which reads traces_by_log
+        ctx = make_field(3, 3)
+        f = _inverse_map(ctx)
+        lab = _lab(ctx, 1)
+        l, l0 = next((l, l0) for l, l0 in lab.rows(f) if l != l0)
+        tr, tr0 = lab.traces_by_log[l], lab.traces_by_log[l0]
+        assert count_A_direct(ctx, f, tr, tr0, 1, 1, 1, check_expansion=True) > 0
+        psi = list(lab.psi_by_log)
+        psi[l] = lab.add_roots[(lab.add_roots.index(psi[l]) + 1) % ctx.q]
+        monkeypatch.setattr(lab, "psi_by_log", psi)
         with pytest.raises(AssertionError, match="expansion"):
             count_A_direct(ctx, f, tr, tr0, 1, 1, 1, check_expansion=True)
 
@@ -392,8 +448,8 @@ LOG_DOMAIN_FIELDS = [(2, 4, 1), (2, 4, 2), (2, 7, 1), (3, 4, 1), (3, 5, 1),
                      (5, 3, 1)]
 
 
-def _rows_per_element(ctx, f, r):
-    """The rows from eval_rational, zero_pole_set and trace_rel per unit."""
+def _rows_per_element(ctx, f):
+    """The rows from eval_rational, zero_pole_set and discrete_log per unit."""
     _, Pp = zero_pole_set(ctx, f)
     rows = []
     for eps in ctx.units():
@@ -401,13 +457,14 @@ def _rows_per_element(ctx, f, r):
         if eps in Pp:
             assert eps0 is POLE or eps0.is_zero()
             continue
-        rows.append((eps, eps0, ctx.trace_rel(eps, r), ctx.trace_rel(eps0, r)))
+        rows.append((ctx.discrete_log(eps), ctx.discrete_log(eps0)))
     return rows
 
 
 class TestLogDomain:
     """The rows come from one log-domain pass per side of f; they equal the
-    per-element evaluation on every unit."""
+    per-element evaluation on every unit.  tau reads psi by log; it equals
+    its per-element definition at every unit."""
 
     @pytest.mark.parametrize("q,m,r", LOG_DOMAIN_FIELDS)
     def test_every_class(self, q, m, r):
@@ -415,7 +472,7 @@ class TestLogDomain:
         rng = random.Random(q * m + r)
         for n1, n2 in [(0, 1), (1, 0), (1, 1), (2, 1), (1, 2), (2, 2)]:
             f = sample_rational(ctx, n1, n2, rng)
-            assert _lab(ctx, r).rows(f) == _rows_per_element(ctx, f, r)
+            assert _lab(ctx, r).rows(f) == _rows_per_element(ctx, f)
 
     @pytest.mark.parametrize("q,m,r", LOG_DOMAIN_FIELDS)
     def test_zero_inner_coefficients(self, q, m, r):
@@ -426,7 +483,20 @@ class TestLogDomain:
             c = ctx.from_index(i)
             x2c = Poly((c, ctx.zero, ctx.one))
             for f in (RationalFunction(c, x, x2c), RationalFunction(ctx.one, x2c, x)):
-                assert _lab(ctx, r).rows(f) == _rows_per_element(ctx, f, r)
+                assert _lab(ctx, r).rows(f) == _rows_per_element(ctx, f)
+
+    @pytest.mark.parametrize("q,m,r", LOG_DOMAIN_FIELDS)
+    def test_tau_matches_per_element_definition(self, q, m, r):
+        # (1/p) * sum over u in F_p of psi(u g^l) psi0(-u a), with psi the
+        # absolute trace of the product u g^l taken in the big field
+        ctx = make_field(q, m)
+        lab = _lab(ctx, r)
+        for a in lab.subfield:
+            shift = lab.shift(a)
+            for l, eps in enumerate(ctx._exp):
+                terms = (lab.add_roots[ctx.trace_rel(ctx.mul(u, eps), 1)] * s
+                         for u, s in zip(lab.subfield, shift))
+                assert lab.tau(shift, l) == sum(terms) * lab.inv_p % lab.ell
 
 
 class TestCountA:
