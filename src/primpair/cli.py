@@ -44,9 +44,8 @@ from .ntheory import FactorCache, FactorEffort, factor_prime_power_order
 from .ratfunc import (
     Poly,
     RationalFunction,
-    _validate,
+    check_rational,
     eval_rational,
-    is_irreducible,
     sample_rational,
 )
 from .survey import (
@@ -200,26 +199,29 @@ def _cmd_survey(args) -> int:
 def _parse_function(ctx, spec: str) -> RationalFunction:
     """``scale:num:den`` with comma-separated element indices, low degree
     first, e.g. ``1:0,1:1`` for x over a constant denominator.  A spec that
-    is not a valid function (nonzero scale, monic irreducible coprime parts)
-    raises ValueError."""
+    is not in canonical form raises ValueError from ratfunc.check_rational."""
     s, num, den = spec.split(":")
     f = RationalFunction(ctx.from_index(int(s)),
                          Poly(tuple(ctx.from_index(int(c)) for c in num.split(","))),
                          Poly(tuple(ctx.from_index(int(c)) for c in den.split(","))))
-    _validate(ctx, f)
-    if f.degsum < 1:
-        raise ValueError("degsum must be >= 1")
-    if not all(is_irreducible(ctx, part) for part in (f.num, f.den) if part.degree):
-        raise ValueError("num and den must be irreducible")
+    check_rational(ctx, f)
     return f
 
 
 def _cmd_witness(args) -> int:
     # checked before GF(q^(r t)) is built, whose error would name m = r t
+    # and whose log table may take seconds
     for flag, value in (("--r", args.r), ("--t", args.t),
                         ("--search-budget", args.search_budget)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1")
+    if (args.a is None) != (args.b is None):
+        raise ValueError("--a and --b go together")
+    if args.a is not None:
+        sub_size = args.q ** args.r     # GF(q^r) has q^r elements
+        for idx in (args.a, args.b):
+            if not 0 <= idx < sub_size:
+                raise ValueError(f"subfield index {idx} outside [0, {sub_size})")
     ctx = make_field(args.q, args.r * args.t, seed=args.seed,
                      effort=_effort(args), cache=_cache(args))
     if not ctx.order_facts.complete:
@@ -233,11 +235,6 @@ def _cmd_witness(args) -> int:
         n2 = args.n // 2
         f = sample_rational(ctx, n1, n2, rng)
     subfield = ctx.subfield_elements(args.r)
-    if (args.a is None) != (args.b is None):
-        raise ValueError("--a and --b go together")
-    for idx in (args.a, args.b):
-        if idx is not None and not 0 <= idx < len(subfield):
-            raise ValueError(f"subfield index {idx} outside [0, {len(subfield)})")
     pairs = ([(subfield[args.a], subfield[args.b])] if args.a is not None
              else [(a, b) for a in subfield for b in subfield])
     found = _settle_pairs(ctx, f, pairs, args.r, args.exhaustive,
@@ -260,7 +257,7 @@ def _cmd_witness(args) -> int:
         results.append(entry)
     _emit({
         "config": _run_config(args),
-        "q": args.q, "r": args.r, "t": args.t, "n": args.n,
+        "q": args.q, "r": args.r, "t": args.t, "n": f.degsum,
         "function": {
             "scale": ctx.to_index(f.scale),
             "num": [ctx.to_index(c) for c in f.num.coeffs],

@@ -1,8 +1,9 @@
 """Rational functions num/den over GF(q^m), on ffield's polynomials.
 
-A RationalFunction is canonicalized as scale * (monic num / monic den) with
-num, den irreducible and coprime.  A class is named by its degree pair
-(n1, n2); a 0 in it is a constant side, the monic constant 1.
+A RationalFunction is canonicalized, as check_rational checks, as scale *
+(monic num / monic den) with num, den irreducible and coprime.  A class is
+named by its degree pair (n1, n2); a 0 in it is a constant side, the monic
+constant 1.
 """
 
 from __future__ import annotations
@@ -16,18 +17,16 @@ from .ffield import (
     Poly,
     is_irreducible,
     poly_eval,
-    poly_gcd,
     poly_one,
 )
 from .ntheory import mobius
 
 __all__ = [
     "Poly",
-    "Pole",
     "POLE",
     "RationalFunction",
+    "check_rational",
     "poly_eval",
-    "poly_gcd",
     "is_irreducible",
     "num_monic_irreducible",
     "eval_rational",
@@ -36,21 +35,7 @@ __all__ = [
 ]
 
 
-class Pole:
-    """Marker for evaluation at a pole; a value, not an error."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "POLE"
-
-
-POLE = Pole()
+POLE = None     # f(eps) at a pole: no value, as in FieldCtx.poly_logs
 
 
 def num_monic_irreducible(Q: int, n: int) -> int:
@@ -80,20 +65,27 @@ class RationalFunction:
         return self.n1 + self.n2
 
 
-def _validate(ctx: FieldCtx, f: RationalFunction) -> None:
-    """Nonzero scale, monic coprime sides; a monic constant side is 1."""
+def check_rational(ctx: FieldCtx, f: RationalFunction) -> None:
+    """ValueError unless f is canonical: nonzero scale, monic sides, degsum
+    >= 1, each nonconstant side irreducible, and coprime sides, which for
+    monic irreducibles or 1 means num != den, so no gcd is taken."""
     if f.scale.is_zero():
         raise ValueError("scale must be nonzero")
     if not (f.num.is_monic(ctx) and f.den.is_monic(ctx)):
         raise ValueError("num and den must be monic")
-    if poly_gcd(ctx, f.num, f.den).degree != 0:
+    if f.degsum < 1:
+        raise ValueError("degsum must be >= 1")
+    if not all(is_irreducible(ctx, part) for part in (f.num, f.den) if part.degree):
+        raise ValueError("num and den must be irreducible")
+    if f.num == f.den:
         raise ValueError("num and den must be coprime")
 
 
 def eval_rational(ctx: FieldCtx, f: RationalFunction, eps: FieldElement):
+    """f(eps), or None (POLE) at a pole of f."""
     dv = poly_eval(ctx, f.den, eps)
     if dv.is_zero():
-        return POLE
+        return None
     nv = poly_eval(ctx, f.num, eps)
     return ctx.mul(f.scale, ctx.mul(nv, ctx.inv(dv)))
 
@@ -128,6 +120,4 @@ def sample_rational(ctx: FieldCtx, n1: int, n2: int, rng) -> RationalFunction:
         if n1 == n2 and num == den:
             continue
         scale = ctx.from_index(rng.randrange(1, ctx.Q))
-        f = RationalFunction(scale, num, den)
-        _validate(ctx, f)
-        return f
+        return RationalFunction(scale, num, den)

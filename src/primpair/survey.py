@@ -23,7 +23,7 @@ from .bounds import (
     table1_row,
     window_threshold,
 )
-from .errors import FactorizationIncomplete, OutOfScope
+from .errors import FactorizationIncomplete, NotInSubfield, OutOfScope
 from .ffield import FieldCtx, FieldElement, make_field
 from .ntheory import (
     FactorCache,
@@ -34,7 +34,7 @@ from .ntheory import (
     is_prime,
     primes_upto,
 )
-from .ratfunc import POLE, RationalFunction, eval_rational, sample_rational
+from .ratfunc import RationalFunction, eval_rational, sample_rational
 
 __all__ = [
     "SurveyStatus",
@@ -280,6 +280,7 @@ def first_witnesses(ctx: FieldCtx, f: RationalFunction, pairs, r: int,
     """The first eps of ``candidates`` that witnesses each (a, b) of
     ``pairs``: eps and f(eps) primitive, Tr eps = a and Tr f(eps) = b.  One
     pass settles every pair; a pair that no candidate witnesses is absent.
+    A trace outside GF(q^r), which no element has, raises NotInSubfield.
 
     The checks run cheapest first: an eps whose trace opens no pair costs
     one trace, and primitivity, a powmod per prime of Q - 1 on an untabled
@@ -293,6 +294,10 @@ def first_witnesses(ctx: FieldCtx, f: RationalFunction, pairs, r: int,
     open_b: dict[FieldElement, set[FieldElement]] = {}
     for a, b in pairs:
         open_b.setdefault(a, set()).add(b)
+    for x in set(open_b).union(*open_b.values()):
+        if not ctx.in_subfield(x, r):
+            raise NotInSubfield(f"trace index {ctx.to_index(x)} is not in "
+                                f"the subfield of degree {r}")
     left = sum(map(len, open_b.values()))
     found = {}
     trace_rel, is_primitive = ctx.trace_rel, ctx.is_primitive
@@ -304,7 +309,7 @@ def first_witnesses(ctx: FieldCtx, f: RationalFunction, pairs, r: int,
         if not bs:
             continue
         eps0 = eval_rational(ctx, f, eps)
-        if eps0 is POLE or eps0.is_zero():
+        if not eps0:    # a pole (None) or a zero
             continue
         b = trace_rel(eps0, r)
         if b not in bs or not (is_primitive(eps) and is_primitive(eps0)):
@@ -377,6 +382,8 @@ def verify_membership_sample(p: int, t: int, n: int, num_functions: int,
     trace pair."""
     if n < 1:
         raise ValueError("degsum must be >= 1")
+    if num_functions < 1:
+        raise ValueError("num_functions must be >= 1")
     q, r = _split_prime_power(p)
     ctx = make_field(q, r * t, seed=0)
     exhaustive = ctx.Q <= EXHAUSTIVE_CAP

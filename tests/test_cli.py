@@ -265,6 +265,31 @@ class TestWitness:
         assert (code, captured.out) == (2, "")
         assert captured.err == "error: --search-budget must be >= 1\n"
 
+    def test_report_n_is_degree_sum_of_f(self, capsys):
+        # --n picks the sampled class only; x/(x+1) has degree sum 2
+        code, out = run(capsys, "--seed", "0", "witness", "--q", "2", "--t", "7",
+                        "--f", "1:0,1:1,1", "--n", "5", "--a", "0", "--b", "0",
+                        "--exhaustive")
+        assert json.loads(out)["n"] == 2
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--t", "20", "--a", "5", "--b", "0"), "subfield index 5 outside [0, 2)"),
+        (("--t", "20", "--a", "0", "--b", "-1"), "subfield index -1 outside [0, 2)"),
+        (("--r", "2", "--t", "10", "--a", "4", "--b", "0"),
+         "subfield index 4 outside [0, 4)"),
+        (("--t", "20", "--a", "0"), "--a and --b go together"),
+    ])
+    def test_subfield_index_checked_before_the_field(self, capsys, monkeypatch,
+                                                     argv, message):
+        def no_field(*args, **kwargs):
+            raise AssertionError("field built before the usage checks")
+
+        monkeypatch.setattr(cli, "make_field", no_field)
+        code = main(["--cache", "", "witness", "--q", "2", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {message}\n"
+
     def test_a_needs_b(self, capsys):
         code, out = run(capsys, "--cache", "", "witness", "--q", "2", "--t", "7",
                         "--a", "1")

@@ -3,23 +3,26 @@
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import primpair
+from primpair import ratfunc
 from primpair.errors import DegreeZero, EmptyClass
-from primpair.ffield import make_field
+from primpair.ffield import make_field, poly_gcd
 from primpair.ratfunc import (
     POLE,
     Poly,
     RationalFunction,
+    check_rational,
     eval_rational,
     is_irreducible,
     num_monic_irreducible,
     poly_eval,
-    poly_gcd,
     sample_rational,
     zero_pole_set,
 )
@@ -37,6 +40,18 @@ def gf4():
 
 def _poly(ctx, *int_coeffs):
     return Poly(tuple(ctx.from_index(c) for c in int_coeffs))
+
+
+def _monic_irreducibles(ctx, max_degree):
+    """The constant 1 and every monic irreducible of degree <= max_degree."""
+    out = [Poly((ctx.one,))]
+    for n in range(1, max_degree + 1):
+        for idx in range(ctx.Q ** n):
+            coeffs = tuple(ctx.from_index(idx // ctx.Q ** i % ctx.Q) for i in range(n))
+            cand = Poly(coeffs + (ctx.one,))
+            if is_irreducible(ctx, cand):
+                out.append(cand)
+    return out
 
 
 class TestPoly:
@@ -93,19 +108,9 @@ class TestIrreducibility:
     def test_counts_match_necklace_formula(self, gf4):
         # GF(4), GF(8) and GF(9) are not prime fields: the schoolbook branch
         for ctx in (gf4, make_field(2, 3), make_field(3, 2)):
-            Q = ctx.Q
-            for n in (1, 2, 3):
-                count = 0
-                for idx in range(Q ** n):
-                    coeffs = []
-                    rem = idx
-                    for _ in range(n):
-                        coeffs.append(ctx.from_index(rem % Q))
-                        rem //= Q
-                    cand = Poly(tuple(coeffs) + (ctx.one,))
-                    if is_irreducible(ctx, cand):
-                        count += 1
-                assert count == num_monic_irreducible(Q, n), (Q, n)
+            degrees = Counter(side.degree for side in _monic_irreducibles(ctx, 3))
+            assert degrees == {0: 1, **{n: num_monic_irreducible(ctx.Q, n)
+                                        for n in (1, 2, 3)}}, ctx.Q
 
     def test_necklace_values(self):
         # classic values over GF(2): 2, 1, 2, 3, 6, 9 for degrees 1..6
@@ -118,6 +123,7 @@ class TestRationalFunction:
         # f = x / (x + 6) has a pole at x = 1
         f = RationalFunction(gf7.one, _poly(gf7, 0, 1), _poly(gf7, 6, 1))
         assert eval_rational(gf7, f, gf7.from_index(1)) is POLE
+        assert POLE is None and primpair.POLE is None
         # f(3) = 3 / 2 = 3 * 4 = 12 = 5 mod 7
         assert eval_rational(gf7, f, gf7.from_index(3)) == gf7.from_index(5)
 
@@ -142,7 +148,64 @@ class TestRationalFunction:
         assert (f.n1, f.n2, f.degsum) == (1, 1, 2)
 
 
+class TestCheckRational:
+    @pytest.mark.parametrize("spec,message", [
+        ((0, (0, 1), (1,)), "scale must be nonzero"),
+        ((0, (0, 2), (1,)), "scale must be nonzero"),         # checked first
+        ((1, (0, 2), (1,)), "num and den must be monic"),
+        ((1, (1,), (2,)), "num and den must be monic"),       # constant side 2
+        ((1, (1,), (1,)), "degsum must be >= 1"),
+        ((1, (0, 0, 1), (1,)), "num and den must be irreducible"),
+        ((1, (0, 0, 1), (0, 1)), "num and den must be irreducible"),
+        ((1, (0, 1), (0, 1)), "num and den must be coprime"),
+        ((1, (1, 0, 1), (1, 0, 1)), "num and den must be coprime"),
+    ])
+    def test_rejections(self, gf7, spec, message):
+        s, num, den = spec
+        f = RationalFunction(gf7.from_index(s), _poly(gf7, *num), _poly(gf7, *den))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_rational(gf7, f)
+
+    @pytest.mark.parametrize("spec", [
+        (1, (0, 1), (6, 1)), (3, (1, 0, 1), (1,)), (6, (1,), (0, 1)),
+    ])
+    def test_accepts_canonical(self, gf7, spec):
+        s, num, den = spec
+        check_rational(gf7, RationalFunction(gf7.from_index(s), _poly(gf7, *num),
+                                             _poly(gf7, *den)))
+
+    @pytest.mark.parametrize("q,m", [(2, 2), (2, 3), (3, 2)])
+    def test_differ_exactly_when_coprime(self, q, m):
+        # the gate's num != den stands for gcd(num, den) = 1; 1/1, equal
+        # and coprime, is rejected first for its degree sum
+        ctx = make_field(q, m)
+        sides = _monic_irreducibles(ctx, 2)
+        for num in sides:
+            for den in sides:
+                if num.degree + den.degree:
+                    assert (num != den) == (poly_gcd(ctx, num, den).degree == 0)
+
+    @pytest.mark.parametrize("q,m", [(2, 7), (3, 4), (3, 5), (5, 3), (7, 1)])
+    def test_every_draw_passes(self, q, m):
+        ctx = make_field(q, m)
+        rng = random.Random(q * m)
+        for n1, n2 in [(1, 1), (2, 1), (1, 2), (2, 2), (1, 0), (0, 1), (2, 0), (0, 2)]:
+            for _ in range(2):
+                check_rational(ctx, sample_rational(ctx, n1, n2, rng))
+
+
 class TestSampling:
+    def test_draw_is_not_rechecked(self, gf7, monkeypatch):
+        # a draw is canonical by construction: no gcd and no gate
+        def fail(*args):
+            raise AssertionError("sample_rational rechecked its draw")
+
+        monkeypatch.setattr(ratfunc, "poly_gcd", fail, raising=False)
+        monkeypatch.setattr(ratfunc, "check_rational", fail)
+        rng = random.Random(0)
+        for n1, n2 in [(1, 1), (2, 1), (2, 2), (1, 0), (0, 2)]:
+            assert sample_rational(gf7, n1, n2, rng).degsum == n1 + n2
+
     def test_class_membership(self, gf7):
         rng = random.Random(7)
         for _ in range(20):

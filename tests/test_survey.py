@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from primpair import cli, ntheory, survey
-from primpair.errors import OutOfScope
+from primpair.errors import NotInSubfield, OutOfScope
 from primpair.ffield import make_field
 from primpair.ntheory import FactorEffort, factorize
 from primpair.ratfunc import POLE, Poly, RationalFunction, eval_rational, sample_rational
@@ -281,6 +281,17 @@ class TestWitnessSearch:
                    "ctx.mul = lambda x, y: mul(mul(x, y), ctx.generator)\n",
             "ctx.one")
 
+    @pytest.mark.parametrize("exhaustive", [True, False])
+    def test_trace_outside_subfield_rejected(self, exhaustive):
+        # x has no trace in GF(2): no scan may call its absence definitive
+        ctx = make_field(2, 6)
+        f = RationalFunction(ctx.one, Poly((ctx.one,)),
+                             Poly((ctx.zero, ctx.one)))
+        x = ctx.from_index(2)
+        for a, b in ((x, ctx.one), (ctx.one, x)):
+            with pytest.raises(NotInSubfield, match="trace index 2"):
+                witness_search(ctx, f, a, b, 1, exhaustive=exhaustive)
+
     def test_randomized_reports_non_definitive(self):
         ctx = make_field(2, 7)
         f = RationalFunction(ctx.one, Poly((ctx.one,)),
@@ -412,6 +423,14 @@ class TestMembershipSample:
         assert sampled[:6] == sampled[6:]
         assert exhaustive.failures
         assert set(exhaustive.failures) <= set(randomized.failures)
+
+    @pytest.mark.parametrize("num_functions", [0, -3])
+    def test_no_functions_rejected(self, monkeypatch, num_functions):
+        # rejected before any field is built, not reported as a
+        # definitive check of -3 functions
+        monkeypatch.setattr(survey, "make_field", None)
+        with pytest.raises(ValueError, match="num_functions must be >= 1"):
+            verify_membership_sample(2, 7, 2, num_functions=num_functions, seed=0)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_degree_sum_below_one_rejected(self, monkeypatch, n):
