@@ -126,10 +126,13 @@ class _Kernel:
             p = a * b & ones
             t = (p >> shift) * self.mu & ones
             return ((p & low) + ((t >> shift) * self.fneg & low)) & ones
-        reduce = self.reduce
-        p = reduce(a * b)
-        t = reduce((p >> shift) * self.mu)
-        return reduce((p & low) + (((t >> shift) * self.fneg) & low))
+        q, recip, s, qmask = self.q, self.recip, self.s, self.qmask   # reduce, no call
+        p = a * b
+        p -= q * (((p * recip) >> s) & qmask)
+        t = (p >> shift) * self.mu
+        t -= q * (((t * recip) >> s) & qmask)
+        r = (p & low) + (((t >> shift) * self.fneg) & low)
+        return r - q * (((r * recip) >> s) & qmask)
 
     def powmod(self, a: int, e: int) -> int:
         """a^e for e >= 0, left-to-right square-and-multiply from the
@@ -207,9 +210,10 @@ def poly_mod(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
     if b.is_zero():
         raise ZeroDivisionError("poly mod zero")
     rem = list(a.coeffs)
-    inv_lead = ctx.inv(b.coeffs[-1])
+    # a monic divisor, as every Rabin modulus is, needs no inverse
+    inv_lead = None if b.is_monic(ctx) else ctx.inv(b.coeffs[-1])
     while len(rem) >= len(b.coeffs):
-        c = ctx.mul(rem[-1], inv_lead)
+        c = rem[-1] if inv_lead is None else ctx.mul(rem[-1], inv_lead)
         shift = len(rem) - len(b.coeffs)
         if not c.is_zero():
             for i, bi in enumerate(b.coeffs):
@@ -229,21 +233,24 @@ def poly_gcd(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
 
 
 def _poly_powmod(ctx: FieldCtx, base: Poly, e: int, mod: Poly) -> Poly:
-    result = poly_one(ctx)
-    base = poly_mod(ctx, base, mod)
-    while e:
-        if e & 1:
+    """base^e mod ``mod`` for e >= 1, left-to-right from the leading bit."""
+    base = result = poly_mod(ctx, base, mod)
+    for bit in bin(e)[3:]:
+        result = poly_mod(ctx, poly_mul(ctx, result, result), mod)
+        if bit == "1":
             result = poly_mod(ctx, poly_mul(ctx, result, base), mod)
-        base = poly_mod(ctx, poly_mul(ctx, base, base), mod)
-        e >>= 1
     return result
 
 
 def is_irreducible(ctx: FieldCtx, poly: Poly) -> bool:
     """Rabin irreducibility test over GF(Q), Q = ctx.Q (von zur Gathen &
-    Gerhard, Modern Computer Algebra, 14.9).  Over a prime field the
-    coefficients are ints mod q, so x^e mod poly is a packed power in a
-    _Kernel built on poly."""
+    Gerhard, Modern Computer Algebra, 14.9), on one chain h_k = x^(Q^k) mod
+    P, k = 1..d.  Over GF(Q), m > 1, the Q-th power fixes every coefficient,
+    so h_(k+1) = h_k(h_1) mod P: one power x^Q, then a Horner composition per
+    link (von zur Gathen & Shoup, Computing Frobenius maps and factoring
+    polynomials, Comput. Complexity 2, 1992).  Over a prime field a link is
+    the packed q-th power of the last in a _Kernel built on P: about log2 q
+    products, not the d - 1 of a composition."""
     d = poly.degree
     if d < 1:
         raise DegreeZero("irreducibility undefined for constants")
@@ -254,21 +261,35 @@ def is_irreducible(ctx: FieldCtx, poly: Poly) -> bool:
         kernel = _Kernel(poly.coeffs, ctx.q)
         x = kernel.pack((0, 1))
 
-        def x_power_minus_x(e):
-            h = kernel.reduce(kernel.powmod(x, e) + (ctx.q - 1) * x)
-            return make_poly(ctx, map(FieldElement, kernel.unpack(h)))
-    else:
-        x = Poly((ctx.zero, ctx.one))
+        def step(h):
+            return kernel.powmod(h, ctx.q)
 
-        def x_power_minus_x(e):
-            h = list(_poly_powmod(ctx, x, e, poly).coeffs)
-            h += [ctx.zero] * (2 - len(h))
+        def minus_x(h):
+            h = kernel.reduce(h + (ctx.q - 1) * x)
+            return make_poly(ctx, map(FieldElement, kernel.unpack(h)))
+        h = step(x)
+    else:
+        x_q = _poly_powmod(ctx, Poly((ctx.zero, ctx.one)), ctx.Q, poly)
+
+        def step(h):    # h(x^Q) mod P by Horner's rule
+            acc = Poly(())
+            for c in reversed(h.coeffs):
+                cs = list(poly_mod(ctx, poly_mul(ctx, acc, x_q), poly).coeffs) or [ctx.zero]
+                cs[0] = ctx.add(cs[0], c)
+                acc = make_poly(ctx, cs)
+            return acc
+
+        def minus_x(h):
+            h = list(h.coeffs) + [ctx.zero] * (2 - len(h.coeffs))
             h[1] = ctx.sub(h[1], ctx.one)
             return make_poly(ctx, h)
-    for ell in {p for p in range(2, d + 1) if d % p == 0 and is_prime(p)}:
-        if poly_gcd(ctx, poly, x_power_minus_x(ctx.Q ** (d // ell))).degree != 0:
+        h = x_q
+    rabin = {d // p for p in range(2, d + 1) if d % p == 0 and is_prime(p)}
+    for k in range(1, d):       # h = x^(Q^k) mod P
+        if k in rabin and poly_gcd(ctx, poly, minus_x(h)).degree != 0:
             return False
-    return x_power_minus_x(ctx.Q ** d).is_zero()
+        h = step(h)
+    return minus_x(h).is_zero()
 
 
 class FieldCtx:
@@ -378,10 +399,6 @@ class FieldCtx:
             return self._exp[self._log[x] * e % (self.Q - 1)]
         if e < 0:
             x, e = self.inv(x), -e
-        return self._pow_poly(x, e)
-
-    def _pow_poly(self, x: FieldElement, e: int) -> FieldElement:
-        """x^e for e >= 0 by the kernel, bypassing the log table."""
         return FieldElement(self._kernel.powmod(x, e))
 
     def inv(self, x: FieldElement) -> FieldElement:
@@ -391,13 +408,20 @@ class FieldCtx:
 
     # -- structure queries
 
+    def _conjugates(self, x: int) -> list[int]:
+        """x^(q^j) for j < m, packed, by the kernel alone: each is the q-th
+        power of the last, one product when q = 2."""
+        kernel, q = self._kernel, self.q
+        out = [x]
+        for _ in range(self.m - 1):
+            x = kernel.mulmod(x, x) if q == 2 else kernel.powmod(x, q)
+            out.append(x)
+        return out
+
     def _frobenius_trace(self, eps: FieldElement, r: int) -> FieldElement:
-        """Sum of eps^(p^j) for j < m/r with p = q^r, bypassing the log table."""
-        acc = cur = eps
-        for _ in range(self.m // r - 1):
-            cur = self._pow_poly(cur, self.q ** r)
-            acc = self.add(acc, cur)
-        return acc
+        """Sum of eps^(p^j) for j < m/r with p = q^r, bypassing the log table:
+        every r-th conjugate.  No slot of the sum exceeds m*(q-1)."""
+        return FieldElement(self._kernel.reduce(sum(self._conjugates(eps)[::r])))
 
     def _check_subfield_degree(self, r: int) -> None:
         """GF(q^r) is a subfield of GF(q^m) exactly when r >= 1 divides m."""

@@ -251,13 +251,20 @@ class WitnessResult:
     definitive: bool      # exhaustive search proves nonexistence when empty
 
 
+def _digits(e: int, q: int) -> tuple[tuple[int, int], ...]:
+    """(j, e_j) for each nonzero digit e_j of e in base q."""
+    return tuple((j, e // q ** j % q) for j in range(e.bit_length()) if e // q ** j % q)
+
+
 def _recheck_witness(ctx: FieldCtx, f: RationalFunction, a, b, r, eps,
-                     eps0) -> bool:
+                     eps0, cofactor_digits) -> bool:
     """Independent re-verification of a witness eps with f(eps) = eps0 by
-    the kernel alone: eps0 * den(eps) = scale * num(eps) with den(eps) != 0,
-    generic powers and Frobenius-sum traces; neither the log table, nor an
-    inverse, nor the basis traces."""
-    mulmod = ctx._kernel.mulmod
+    the kernel alone, with no log table, ctx.mul, inverse or basis traces:
+    eps0 * den(eps) = scale * num(eps) with den(eps) != 0, then one chain
+    x^(q^j), j < m, per element gives its trace (every r-th term) and each
+    x^((Q-1)/l) = prod_j (x^(q^j))^(e_j), e_j from ``cofactor_digits``."""
+    kernel = ctx._kernel
+    mulmod, powmod = kernel.mulmod, kernel.powmod
 
     def at_eps(poly):
         acc = ctx.zero
@@ -268,11 +275,15 @@ def _recheck_witness(ctx: FieldCtx, f: RationalFunction, a, b, r, eps,
     den = at_eps(f.den)
     if not den or mulmod(eps0, den) != mulmod(f.scale, at_eps(f.num)):
         return False
-    n = ctx.Q - 1
-    if any(ctx._pow_poly(x, n // ell) == ctx.one
-           for x in (eps, eps0) for ell in ctx.order_facts.primes()):
-        return False
-    return ctx._frobenius_trace(eps, r) == a and ctx._frobenius_trace(eps0, r) == b
+    for x, tr in ((eps, a), (eps0, b)):
+        conj = ctx._conjugates(x)
+        if kernel.reduce(sum(conj[::r])) != tr:
+            return False
+        for digits in cofactor_digits:      # q = 2: popcount - 1 products
+            powers = [powmod(conj[j], e) if e > 1 else conj[j] for j, e in digits]
+            if functools.reduce(mulmod, powers) == 1:
+                return False
+    return True
 
 
 def first_witnesses(ctx: FieldCtx, f: RationalFunction, pairs, r: int,
@@ -284,7 +295,8 @@ def first_witnesses(ctx: FieldCtx, f: RationalFunction, pairs, r: int,
 
     The checks run cheapest first: an eps whose trace opens no pair costs
     one trace, and primitivity, a powmod per prime of Q - 1 on an untabled
-    field, is asked only once (Tr eps, Tr f(eps)) is an open pair.
+    field, is asked only once (Tr eps, Tr f(eps)) is an open pair.  Each
+    witness is rechecked on the base-q digits of every (Q - 1)/l, made once.
 
     f is evaluated per element, not by FieldCtx.poly_logs over all units,
     because a scan stops early: the 48 exhaustive scans of a seed-1
@@ -300,6 +312,8 @@ def first_witnesses(ctx: FieldCtx, f: RationalFunction, pairs, r: int,
                                 f"the subfield of degree {r}")
     left = sum(map(len, open_b.values()))
     found = {}
+    cofactor_digits = [_digits((ctx.Q - 1) // ell, ctx.q)
+                       for ell in ctx.order_facts.primes()]
     trace_rel, is_primitive = ctx.trace_rel, ctx.is_primitive
     for eps in candidates:
         if eps.is_zero():
@@ -314,7 +328,7 @@ def first_witnesses(ctx: FieldCtx, f: RationalFunction, pairs, r: int,
         b = trace_rel(eps0, r)
         if b not in bs or not (is_primitive(eps) and is_primitive(eps0)):
             continue
-        if not _recheck_witness(ctx, f, a, b, r, eps, eps0):
+        if not _recheck_witness(ctx, f, a, b, r, eps, eps0, cofactor_digits):
             raise AssertionError(f"witness {ctx.to_index(eps)} fails the "
                                  "independent recheck")
         found[a, b] = eps
@@ -330,6 +344,8 @@ def witness_search(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
                    exhaustive: bool = True,
                    budget: int = 100_000, seed: int = 0) -> WitnessResult:
     """Find eps with (eps, f(eps)) both primitive and both traces prescribed."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     if not ctx.order_facts.complete:
         raise FactorizationIncomplete(ctx.order_facts.n)
     if exhaustive:
@@ -380,10 +396,10 @@ def verify_membership_sample(p: int, t: int, n: int, num_functions: int,
     """Sample rational functions across the n + 1 degree splits (n1, n - n1),
     constant sides included, and look for a witness for every prescribed
     trace pair."""
-    if n < 1:
-        raise ValueError("degsum must be >= 1")
-    if num_functions < 1:
-        raise ValueError("num_functions must be >= 1")
+    for name, value in (("degsum", n), ("num_functions", num_functions),
+                        ("t", t), ("budget", budget)):  # make_field would name m = r t
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
     q, r = _split_prime_power(p)
     ctx = make_field(q, r * t, seed=0)
     exhaustive = ctx.Q <= EXHAUSTIVE_CAP

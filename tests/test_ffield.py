@@ -432,6 +432,18 @@ class TestTrace:
                 x = ctx.from_index(rng.randrange(ctx.Q))
                 assert ctx.trace_rel(x, r) == _frobenius_reference(ctx, x, r)
 
+    @pytest.mark.parametrize("q,m,table_cap", [(2, 6, 1), (3, 4, 1 << 20),
+                                               (5, 3, 1), (2, 22, 1 << 20)])
+    def test_conjugates_are_q_powers(self, q, m, table_cap):
+        ctx = make_field(q, m, table_cap=table_cap)
+        rng = random.Random(q * m)
+        xs = ctx.elements() if ctx.Q < 200 else (
+            ctx.from_index(rng.randrange(ctx.Q)) for _ in range(50))
+        for x in xs:
+            conj = ctx._conjugates(x)
+            assert len(conj) == m
+            assert all(c == ctx.pow(x, q ** j) for j, c in enumerate(conj))
+
     def test_basis_traces_die_with_field(self):
         ctx = make_field(2, 6)
         ctx.trace_rel(ctx.one, 2)

@@ -112,6 +112,19 @@ class TestIrreducibility:
             assert degrees == {0: 1, **{n: num_monic_irreducible(ctx.Q, n)
                                         for n in (1, 2, 3)}}, ctx.Q
 
+    @pytest.mark.parametrize("q,m,n,count", [
+        (2, 2, 2, 6), (2, 2, 3, 20), (2, 2, 4, 60), (2, 2, 6, 670),
+        (2, 3, 2, 28), (2, 3, 3, 168), (3, 2, 2, 36), (3, 2, 3, 240)])
+    def test_composition_chain_counts(self, q, m, n, count):
+        # every monic polynomial of degree n over GF(q^m), m > 1: the chain
+        # x^(Q^(k+1)) = h(x^Q) reaches the Rabin gcds at k = 2 for n = 4
+        # and at k = 2, 3 for n = 6
+        ctx = make_field(q, m)
+        accepted = sum(is_irreducible(ctx, Poly(tuple(
+            ctx.from_index(idx // ctx.Q ** i % ctx.Q) for i in range(n)) + (ctx.one,)))
+            for idx in range(ctx.Q ** n))
+        assert accepted == num_monic_irreducible(ctx.Q, n) == count
+
     def test_necklace_values(self):
         # classic values over GF(2): 2, 1, 2, 3, 6, 9 for degrees 1..6
         assert [num_monic_irreducible(2, n) for n in range(1, 7)] == \

@@ -281,6 +281,16 @@ class TestWitnessSearch:
                    "ctx.mul = lambda x, y: mul(mul(x, y), ctx.generator)\n",
             "ctx.one")
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        # a random search of no candidates would report a non-definitive None
+        ctx = make_field(2, 6)
+        f = RationalFunction(ctx.one, Poly((ctx.one,)),
+                             Poly((ctx.zero, ctx.one)))
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            witness_search(ctx, f, ctx.one, ctx.one, 1, exhaustive=False,
+                           budget=budget)
+
     @pytest.mark.parametrize("exhaustive", [True, False])
     def test_trace_outside_subfield_rejected(self, exhaustive):
         # x has no trace in GF(2): no scan may call its absence definitive
@@ -333,6 +343,39 @@ def _brute_force_witness(ctx, f, a, b, r):
 # (q, m, r): GF(2^4) over GF(2) and GF(4), GF(3^3) over GF(3), GF(2^6) over
 # GF(4) and GF(8)
 SCAN_FIELDS = [(2, 4, 1), (2, 4, 2), (3, 3, 1), (2, 6, 2), (2, 6, 3)]
+
+
+class TestRecheck:
+    @pytest.mark.parametrize("q,m", [(2, 6), (3, 4)])
+    def test_matches_the_tables_on_every_unit(self, q, m):
+        # one chain of conjugates per element gives both traces and every
+        # x^((Q-1)/l); the tables' answer is the reference
+        ctx = make_field(q, m)
+        digits = [survey._digits((ctx.Q - 1) // ell, q)
+                  for ell in ctx.order_facts.primes()]
+        rng = random.Random(m)
+        for n1, n2 in ((1, 1), (2, 0), (0, 2)):
+            f = sample_rational(ctx, n1, n2, rng)
+            for r in (d for d in range(1, m + 1) if m % d == 0):
+                for eps in ctx.units():
+                    eps0 = eval_rational(ctx, f, eps)
+                    if not eps0:
+                        continue
+                    a, b = ctx.trace_rel(eps, r), ctx.trace_rel(eps0, r)
+                    primitive = ctx.is_primitive(eps) and ctx.is_primitive(eps0)
+                    assert survey._recheck_witness(
+                        ctx, f, a, b, r, eps, eps0, digits) == primitive
+                    if primitive:
+                        wrong_a, wrong_b = ctx.add(a, ctx.one), ctx.add(b, ctx.one)
+                        assert not survey._recheck_witness(
+                            ctx, f, wrong_a, b, r, eps, eps0, digits)
+                        assert not survey._recheck_witness(
+                            ctx, f, a, wrong_b, r, eps, eps0, digits)
+
+    def test_digits_rebuild_the_exponent(self):
+        for q, e in ((2, 341), (3, 1093), (5, 62), (7, 1)):
+            assert sum(d * q ** j for j, d in survey._digits(e, q)) == e
+            assert all(0 < d < q for _, d in survey._digits(e, q))
 
 
 class TestFirstWitnesses:
@@ -431,6 +474,22 @@ class TestMembershipSample:
         monkeypatch.setattr(survey, "make_field", None)
         with pytest.raises(ValueError, match="num_functions must be >= 1"):
             verify_membership_sample(2, 7, 2, num_functions=num_functions, seed=0)
+
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_t_below_one_rejected(self, monkeypatch, t):
+        # rejected before any field is built, whose error would name m = r t
+        monkeypatch.setattr(survey, "make_field", None)
+        with pytest.raises(ValueError, match="^t must be >= 1$"):
+            verify_membership_sample(2, t, 2, num_functions=1, seed=0)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, monkeypatch, budget):
+        # rejected before any field is built; above EXHAUSTIVE_CAP a search
+        # of no candidates would list every pair as a failure
+        monkeypatch.setattr(survey, "make_field", None)
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            verify_membership_sample(2, 7, 2, num_functions=1, seed=0,
+                                     budget=budget)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_degree_sum_below_one_rejected(self, monkeypatch, n):
