@@ -78,12 +78,16 @@ class SieveReport:
 
 
 def _require_degree_sum(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"degree sum n = {n} must be >= 1")
+    """A verdict covers the classes (n1, n2) of degree sum n with both
+    degrees >= 1, so n >= 2; at n = 1 only constant-side classes exist."""
+    if n < 2:
+        raise ValueError(f"degree sum n = {n} must be >= 2")
 
 
 def check_thm31(p: int, t: int, n: int, facts: Factorization) -> BoundReport:
-    """Does p^(t/2-2) > (2n+1) W(p^t - 1)^2 hold?"""
+    """Does p^(t/2-2) > (2n+1) W(p^t - 1)^2 hold?  A Pass covers every f of
+    degree sum n >= 2 whose numerator and denominator both have degree
+    >= 1."""
     _require_degree_sum(n)
     if t < 5:
         raise ValueError("need t >= 5")
@@ -141,7 +145,7 @@ def check_thm34(p: int, t: int, n: int, facts: Factorization,
     except NonPositiveDelta as exc:
         return SieveReport(p, t, n, k_primes, sieve_primes, m, exc.delta,
                            None, Wk, None, Verdict.FAIL)
-    rhs = (2 * n + 1) * Delta * Wk * Wk
+    rhs = Fraction((2 * n + 1) * Delta.numerator * Wk * Wk, Delta.denominator)
     verdict = Verdict.PASS if _exceeds(p, t, rhs) else Verdict.FAIL
     return SieveReport(p, t, n, k_primes, sieve_primes, m, delta, Delta, Wk,
                        rhs, verdict)
@@ -161,19 +165,31 @@ def find_sieve_params(p: int, t: int, n: int, facts: Factorization) -> SieveRepo
     margin p^(t-4) den^2 - num^2 on the reduced rhs = num/den (a k with
     delta <= 0 has none and loses to any k that has one).  Each k is decided
     in integers; only the returned k gets a SieveReport.
+
+    L = prod(q) over all primes of p^t - 1 and A = sum(L/q) are formed once.
+    For a k with sieve primes s, rest = A - sum(L/q for q in k) is sum(L/q)
+    over s, so d = L - 2 rest and D = (2|s|+1) L - 4 rest are _sieve_terms(s)
+    times prod(k), a scale that the reduced rhs cancels.
     """
     facts.require_complete()
     primes = facts.primes()
-    pool = primes[:_SUBSET_PRIMES]
-    prefixes = (primes[:j] for j in range(len(primes) + 1))
-    subsets = (k for size in range(1, len(pool) + 1)
-               for k in combinations(pool, size))
+    L = math.prod(primes)
+    parts = [L // q for q in primes]
+    A = sum(parts)
+    pool, pool_parts = primes[:_SUBSET_PRIMES], parts[:_SUBSET_PRIMES]
+    prefixes = ((primes[:j], parts[:j]) for j in range(len(primes) + 1))
+    subsets = (pair for size in range(1, len(pool) + 1)
+               for pair in zip(combinations(pool, size),
+                               combinations(pool_parts, size)))
     lhs = p ** (t - 4)
+    scale = 2 * n + 1
     best = best_margin = None
-    for k in chain(prefixes, subsets):
-        d, D, _ = _sieve_terms(q for q in primes if q not in k)
+    for k, k_parts in chain(prefixes, subsets):
+        rest = A - sum(k_parts)
+        d = L - 2 * rest
         if d > 0:
-            num = (2 * n + 1) * D << 2 * len(k)
+            D = (2 * (len(primes) - len(k)) + 1) * L - 4 * rest
+            num = scale * D << 2 * len(k)
             g = math.gcd(num, d)
             margin = lhs * (d // g) ** 2 - (num // g) ** 2
             if margin > 0:

@@ -51,8 +51,9 @@ def theta(u: int) -> float:
 
 class _Lab:
     """F_ell and its roots of unity, the subfield and the two indicator
-    expansions (rho and shifted tau, both read by discrete log) for one
-    (ctx, r), and the log pairs of the last function asked."""
+    expansions (rho weights per k and tau shifts per a, both read by
+    discrete log) for one (ctx, r), and the log pairs of the last function
+    asked."""
 
     def __init__(self, ctx: FieldCtx, r: int):
         if ctx.Q > LAB_CAP:
@@ -79,6 +80,7 @@ class _Lab:
         # Tr_{F_Q/F_p}(w) = 1, so Tr_{F_p/F_q}(z) = Tr_{F_Q/F_q}(z w) on F_p
         self.w = next(x for x in ctx.elements() if ctx.trace_rel(x, r) == ctx.one)
         self._weights: dict[int, list[int]] = {}
+        self._shifts: dict[FieldElement, list[int]] = {}
         self._rows: tuple[RationalFunction | None, list] = (None, [])
 
     def weights(self, k: int) -> list[int]:
@@ -148,9 +150,14 @@ class _Lab:
         return self.add_roots[self.sub_trace(z)]
 
     def shift(self, a: FieldElement) -> list[int]:
-        """psi0(-u a) for each u in the subfield, in subfield order."""
-        ctx = self.ctx
-        return [self.psi0_sub(ctx.neg(ctx.mul(u, a))) for u in self.subfield]
+        """psi0(-u a) for each u in the subfield, in subfield order.  Built
+        once per a."""
+        out = self._shifts.get(a)
+        if out is None:
+            ctx = self.ctx
+            out = self._shifts[a] = [self.psi0_sub(ctx.neg(ctx.mul(u, a)))
+                                     for u in self.subfield]
+        return out
 
     def tau(self, shift: list[int], l: int) -> int:
         """Indicator of Tr(g^l) = a in shifted-canonical form, for

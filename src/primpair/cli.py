@@ -19,6 +19,7 @@ import sys
 from .bounds import (
     TABLE1_WINDOWS,
     Verdict,
+    _require_degree_sum,
     check_thm31,
     check_thm34,
     find_sieve_params,
@@ -97,6 +98,7 @@ def _cache(args) -> FactorCache | None:
 
 def _cmd_check_bound(args) -> int:
     _split_prime_power(args.p)   # p must be a prime power
+    _require_degree_sum(args.n)  # before anything is factored or cached
     facts = factor_prime_power_order(args.p, args.t, effort=_effort(args),
                                      cache=_cache(args))
     rep = check_thm31(args.p, args.t, args.n, facts)
@@ -113,6 +115,7 @@ def _cmd_check_bound(args) -> int:
 
 def _cmd_sieve(args) -> int:
     _split_prime_power(args.p)   # p must be a prime power
+    _require_degree_sum(args.n)  # before anything is factored or cached
     facts = factor_prime_power_order(args.p, args.t, effort=_effort(args),
                                      cache=_cache(args))
     if not facts.complete:

@@ -118,8 +118,12 @@ def _miller_rabin(n: int, base: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+    """Up to TRIAL_BOUND a lookup in the one prime list; above it graded
+    Miller-Rabin, exact below _DETERMINISTIC_LIMIT."""
+    if n <= TRIAL_BOUND:
+        primes = _small_primes()
+        i = bisect.bisect_left(primes, n)
+        return i < len(primes) and primes[i] == n
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
@@ -194,35 +198,37 @@ class FactorCache:
     """Append-only on-disk cache of complete factorizations, one line per n.
 
     Line format: ``n=<dec> factors=<p1^e1,...> cofactor=1 status=C``.
-    Loading only indexes the lines by their first token; ``get(n)`` parses
-    the lines of token ``n=<n>`` on first use and keeps the first valid
-    complete one, skipping partial (``status=P``) and corrupt lines, which
-    older files may hold.  ``put`` appends a complete factorization whose n
-    is not held yet, under a lock.
+    Loading reads the file as bytes and only indexes its lines by their
+    first token; ``get(n)`` decodes and parses the lines of token
+    ``n=<n>`` on first use and keeps the first valid complete one.  Partial
+    (``status=P``) and corrupt lines, which older files may hold, are
+    misses, and so is a line that is no UTF-8; the other lines still load.
+    ``put`` appends a complete factorization whose n is not held yet, under
+    a lock.
     """
 
     def __init__(self, path):
         self.path = path
         self._lock = threading.RLock()
-        self._raw: dict[str, list[str]] = {}
+        self._raw: dict[bytes, list[bytes]] = {}
         self._mem: dict[int, Factorization] = {}
         self._load()
 
     def _load(self) -> None:
         try:
-            with open(self.path) as fh:
-                lines = fh.readlines()
+            with open(self.path, "rb") as fh:
+                lines = fh.read().splitlines()
         except FileNotFoundError:
             return
         for line in lines:
-            self._raw.setdefault(line.partition(" ")[0], []).append(line)
+            self._raw.setdefault(line.partition(b" ")[0], []).append(line)
 
     def get(self, n: int) -> Factorization | None:
-        key = f"n={n}"
+        key = b"n=%d" % n
         if key in self._raw:
             with self._lock:
                 for line in self._raw.pop(key, ()):
-                    fac = _parse_cache_line(line)
+                    fac = _parse_cache_line(_decode_cache_line(line))
                     if fac is not None and fac.complete and fac.n == n:
                         self._mem[n] = fac
                         break
@@ -233,13 +239,21 @@ class FactorCache:
         with self._lock:
             if self.get(fac.n) is None:
                 self._mem[fac.n] = fac
-                with open(self.path, "a") as fh:
-                    fh.write(_format_cache_line(fac) + "\n")
+                with open(self.path, "ab") as fh:
+                    fh.write(_format_cache_line(fac).encode() + b"\n")
 
 
 def _format_cache_line(fac: Factorization) -> str:
     fs = ",".join(f"{p}^{e}" for p, e in fac.factors)
     return f"n={fac.n} factors={fs} cofactor=1 status=C"
+
+
+def _decode_cache_line(line: bytes) -> str:
+    """A cache line as text; one that is no UTF-8 reads as a blank line."""
+    try:
+        return line.decode()
+    except UnicodeDecodeError:
+        return ""
 
 
 def _parse_cache_line(line: str) -> Factorization | None:

@@ -18,6 +18,7 @@ from .bounds import (
     BoundReport,
     SieveReport,
     Verdict,
+    _require_degree_sum,
     check_thm31,
     find_sieve_params,
     table1_row,
@@ -132,10 +133,13 @@ def _split_prime_power(p: int) -> tuple[int, int]:
 def classify(p: int, t: int, n: int = 2,
              effort: FactorEffort = FactorEffort(),
              cache: FactorCache | None = None) -> SurveyRecord:
-    """Sufficient condition first; on failure, automatic sieve search."""
+    """Sufficient condition first; on failure, automatic sieve search.  A
+    proven status covers the classes (n1, n2) of degree sum n with both
+    degrees >= 1; n < 2 is rejected before anything is factored."""
     if t < MIN_T:
         raise OutOfScope(f"t = {t} is out of survey scope")
     _split_prime_power(p)   # validates
+    _require_degree_sum(n)
     facts = factor_prime_power_order(p, t, effort=effort, cache=cache)
     if not facts.complete:
         return SurveyRecord(p, t, n, SurveyStatus.UNKNOWN,

@@ -1,5 +1,6 @@
 """Exact-rational bound checks against published constants and cross-checks."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,7 +23,12 @@ from primpair.bounds import (
     window_threshold,
 )
 from primpair.errors import NonPositiveDelta, NotADivisor
-from primpair.ntheory import FactorEffort, factor_prime_power_order, primes_upto
+from primpair.ntheory import (
+    Factorization,
+    FactorEffort,
+    factor_prime_power_order,
+    primes_upto,
+)
 from primpair.survey import enumerate_prime_powers, survey_range
 
 # Published worst-case window table: (a, b, delta lower bound, Delta upper
@@ -117,20 +123,29 @@ class TestCheckThm31:
         assert _exceeds(4, 8, Fraction(31, 2))
 
 
+def _every_verdict_rejects(n):
+    facts = factor_prime_power_order(2, 22)
+    calls = [
+        lambda: check_thm31(2, 22, n, facts),
+        lambda: check_thm34(2, 22, n, facts, [3, 23]),
+        lambda: find_sieve_params(2, 22, n, facts),
+        lambda: table1_row(5, 15, n),
+        lambda: absorbed_window_constants(n),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="degree sum"):
+            call()
+
+
 class TestDegreeSum:
     @pytest.mark.parametrize("n", [0, -3])
     def test_below_one_rejected(self, n):
-        facts = factor_prime_power_order(2, 22)
-        calls = [
-            lambda: check_thm31(2, 22, n, facts),
-            lambda: check_thm34(2, 22, n, facts, [3, 23]),
-            lambda: find_sieve_params(2, 22, n, facts),
-            lambda: table1_row(5, 15, n),
-            lambda: absorbed_window_constants(n),
-        ]
-        for call in calls:
-            with pytest.raises(ValueError, match="degree sum"):
-                call()
+        _every_verdict_rejects(n)
+
+    def test_one_rejected(self):
+        # n = 1 has only the constant-side classes (1, 0) and (0, 1), which
+        # no verdict covers: f = x has Tr f(eps) = Tr eps on every field
+        _every_verdict_rejects(1)
 
 
 class TestCheckThm34:
@@ -255,6 +270,27 @@ class TestSearchMatchesReportPerK:
             assert find_sieve_params(p, t, n, facts) \
                 == _report_per_k_search(p, t, n, facts), (p, t)
         assert first_k_nonpositive > 0
+
+    @given(data=st.data(), n=st.sampled_from([2, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_synthetic_factorizations(self, data, n):
+        # omega from 0 to 16, past the _SUBSET_PRIMES pool, over primes
+        # small enough that delta <= 0 for many k
+        omega = data.draw(st.integers(0, 16), label="omega")
+        primes = data.draw(st.lists(st.sampled_from(primes_upto(100)),
+                                    min_size=omega, max_size=omega, unique=True))
+        exps = data.draw(st.lists(st.integers(1, 3), min_size=omega, max_size=omega))
+        factors = tuple(sorted(zip(primes, exps)))
+        facts = Factorization(math.prod(q ** e for q, e in factors), factors)
+        # p^(t/2-2) next to the rhs of some k, where the search order and
+        # the margins decide which k is returned
+        k = data.draw(st.lists(st.sampled_from(primes), unique=True)
+                      if primes else st.just([]))
+        rhs = check_thm34(2, 5, n, facts, k).rhs or 1
+        p = data.draw(st.sampled_from([2, 3]), label="p")
+        t = max(5, 4 + round(2 * math.log(rhs, p)) + data.draw(st.integers(-2, 2)))
+        assert find_sieve_params(p, t, n, facts) \
+            == _report_per_k_search(p, t, n, facts)
 
     @pytest.mark.parametrize("p,t,k", [
         (3, 8, (2, 5, 41)),     # delta <= 0 at k = 1, largest-margin Fail

@@ -83,6 +83,29 @@ class TestCheckBound:
         code, out = run(capsys, "check-bound", "--p", "7", "--t", "7", "--n", n)
         assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize("argv", [
+        ("check-bound", "--p", "7", "--t", "7"),
+        ("sieve", "--p", "2", "--t", "30"),
+        ("sieve", "--p", "2", "--t", "22", "--k-primes", "3", "23"),
+        ("table1",),
+        ("survey", "--t", "9"),
+    ])
+    def test_degree_sum_one_exits_two(self, capsys, argv):
+        # n = 1 has only constant-side classes, which no verdict covers
+        code = main(["--cache", "", *argv, "--n", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: degree sum n = 1 must be >= 2\n"
+
+    @pytest.mark.parametrize("command", ["check-bound", "sieve"])
+    def test_degree_sum_one_caches_nothing(self, capsys, tmp_path, command):
+        # n is checked before p^t - 1 is factored and appended to the cache
+        path = tmp_path / "c.txt"
+        code = main(["--cache", str(path), command, "--p", "3", "--t", "7",
+                     "--n", "1"])
+        assert (code, capsys.readouterr().out) == (2, "")
+        assert not path.exists()
+
     def test_config_embedded(self, capsys):
         _, out = run(capsys, "--seed", "42", "check-bound", "--p", "2", "--t", "7")
         payload = json.loads(out)
@@ -529,6 +552,19 @@ class TestUsageErrors:
                                         "check-bound", "--p", "3", "--t", "7")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_non_utf8_cache_line_is_a_miss(self, capsys, tmp_path):
+        # one bad byte in the cache file once made every command exit 2
+        path = tmp_path / "c.txt"
+        bad = b"n=2186 factors=2^1,1093^1 cofactor=1 status=C note=\xff\n"
+        path.write_bytes(bad)
+        code, out = run(capsys, "--cache", str(path),
+                        "check-bound", "--p", "3", "--t", "7")
+        assert code == 0
+        _, cold = run(capsys, "--cache", "", "check-bound", "--p", "3", "--t", "7")
+        assert out.replace(json.dumps(str(path)), '""') == cold
+        assert path.read_bytes() \
+            == bad + b"n=2186 factors=2^1,1093^1 cofactor=1 status=C\n"
 
     def test_format_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

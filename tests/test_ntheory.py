@@ -39,6 +39,12 @@ class TestIsPrime:
         for n in range(-3, 2000):
             assert is_prime(n) == sympy.isprime(n)
 
+    def test_every_n_across_the_trial_bound(self):
+        # a bisect into the one prime list up to TRIAL_BOUND, Miller-Rabin
+        # above it
+        for n in range(-2, TRIAL_BOUND + 2001):
+            assert is_prime(n) == sympy.isprime(n), n
+
     def test_large_known_primes(self):
         assert is_prime(2 ** 61 - 1)            # Mersenne
         assert is_prime(2 ** 127 - 1)
@@ -425,6 +431,23 @@ class TestLazyFactorCache:
         path = tmp_path / "cache.txt"
         path.write_text(corrupt + "\n# comment\nn=x\n"
                         "n=15 factors=3^1,5^1 cofactor=1 status=C\n")
+        assert FactorCache(str(path)).get(15) == factorize(15)
+
+    def test_non_utf8_line_is_a_miss(self, tmp_path):
+        # decoded leniently, the n=15 line would parse; strictly it is no
+        # UTF-8, a miss like any corrupt line, and the other lines load
+        path = tmp_path / "cache.txt"
+        lines = (b"n=15 factors=3^1,5^1 cofactor=1 status=C note=\xff\n"
+                 + b"\xfe\xff\n" + self.COMPLETE.encode()
+                 + b"n=21 factors=3^1,7^1 cofactor=1 status=C\n")
+        path.write_bytes(lines)
+        cache = FactorCache(str(path))
+        assert cache.get(15) is None
+        assert cache.get(self.N) == factorize(self.N)
+        assert cache.get(21) == factorize(21)
+        # put appends the same bytes as ever after the bad lines
+        cache.put(factorize(15))
+        assert path.read_bytes() == lines + b"n=15 factors=3^1,5^1 cofactor=1 status=C\n"
         assert FactorCache(str(path)).get(15) == factorize(15)
 
     def test_token_is_matched_as_written(self, tmp_path):

@@ -136,6 +136,15 @@ class TestClassify:
     def test_known_classifications(self, p, t, status):
         assert classify(p, t, 2).status is status
 
+    @pytest.mark.parametrize("n", [1, 0, -2])
+    def test_degree_sum_below_two_rejected_before_factoring(self, monkeypatch, n):
+        # n = 1 has only the constant-side classes (1, 0) and (0, 1); f = x
+        # has Tr f(eps) = Tr eps, so classify(2, 30, 1) once said
+        # ProvenBySieve for a class with no pair a != b
+        monkeypatch.setattr(survey, "factor_prime_power_order", None)
+        with pytest.raises(ValueError, match="degree sum"):
+            classify(2, 30, n)
+
     def test_unknown_on_partial(self):
         # 43^11 - 1 keeps the cofactor 22126041415981493 when rho is starved
         rec = classify(43, 11, 2, effort=FactorEffort(rho_iterations=1))

@@ -46,6 +46,18 @@ def test_derive_on_a_synthetic_cache(tmp_path):
     assert out.read_text() == "100000007\n100000037\n"
 
 
+def test_non_utf8_line_is_skipped(tmp_path):
+    # decoded leniently, the last line would add the hint 100000081; it is
+    # no UTF-8, so it is skipped like any corrupt line
+    cache = tmp_path / "cache.txt"
+    bad = "n={} factors=100000081^1,1000000007^1 cofactor=1 status=C note=".format(
+        100000081 * 1000000007).encode() + b"\xff\n"
+    cache.write_bytes(SYNTHETIC.encode() + b"\xfe\n" + bad)
+    out = tmp_path / "hints.txt"
+    assert tool.main([str(cache), str(out)]) == 0
+    assert out.read_text() == "100000007\n100000037\n"
+
+
 def test_usage(capsys):
     assert tool.main([]) == 2
     assert "usage" in capsys.readouterr().err

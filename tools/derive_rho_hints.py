@@ -23,7 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from primpair.ntheory import _parse_cache_line  # noqa: E402
+from primpair.ntheory import _decode_cache_line, _parse_cache_line  # noqa: E402
 
 HINT_FLOOR = 10 ** 8
 DEFAULT_OUT = ROOT / "src" / "primpair" / "data" / "rho_hints.txt"
@@ -43,8 +43,10 @@ def main(argv) -> int:
     if len(argv) not in (1, 2):
         print("usage: derive_rho_hints.py CACHE [OUT]", file=sys.stderr)
         return 2
-    with open(argv[0]) as fh:
-        hints = derive(fh)
+    # read as FactorCache reads: bytes, decoded line by line, so a line that
+    # is no UTF-8 is skipped like any other corrupt line
+    with open(argv[0], "rb") as fh:
+        hints = derive(map(_decode_cache_line, fh.read().splitlines()))
     out = Path(argv[1]) if len(argv) == 2 else DEFAULT_OUT
     out.write_text("".join(f"{h}\n" for h in hints))
     print(f"{len(hints)} hints -> {out}")
