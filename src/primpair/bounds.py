@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .errors import NonPositiveDelta, NotADivisor
+from .errors import NotADivisor
 from .ntheory import (
     Factorization,
     integer_nth_root,
@@ -84,13 +84,19 @@ def _require_degree_sum(n: int) -> None:
         raise ValueError(f"degree sum n = {n} must be >= 2")
 
 
+def _require_verdict_args(n: int, t: int) -> None:
+    """The checks every verdict makes before any work, n before t: the
+    exponent t/2 - 2 of the sufficient condition needs t >= 5."""
+    _require_degree_sum(n)
+    if t < 5:
+        raise ValueError("need t >= 5")
+
+
 def check_thm31(p: int, t: int, n: int, facts: Factorization) -> BoundReport:
     """Does p^(t/2-2) > (2n+1) W(p^t - 1)^2 hold?  A Pass covers every f of
     degree sum n >= 2 whose numerator and denominator both have degree
     >= 1."""
-    _require_degree_sum(n)
-    if t < 5:
-        raise ValueError("need t >= 5")
+    _require_verdict_args(n, t)
     if facts.n != p ** t - 1:
         raise ValueError("facts must factor p^t - 1")
     if not facts.complete:
@@ -102,33 +108,26 @@ def check_thm31(p: int, t: int, n: int, facts: Factorization) -> BoundReport:
     return BoundReport(p, t, n, W, rhs, verdict)
 
 
-def _sieve_terms(sieve_primes) -> tuple[int, int, int]:
-    """(d, D, L) with delta = d/L and Delta = D/d, in integers.
+def sieve_delta_Delta(sieve_primes) -> tuple[Fraction, Fraction | None]:
+    """delta = 1 - 2*sum(1/q_i) and Delta = (2m-1)/delta + 2, exact
+    rationals; Delta is None when delta <= 0.
 
-    L is the product of the m sieve primes and S = sum(L/q), so
-    d = L - 2S and D = (2m+1)L - 4S."""
+    With L the product of the m sieve primes and S = sum(L/q), delta = d/L
+    and Delta = D/d for the integers d = L - 2S and D = (2m+1)L - 4S."""
     ps = list(sieve_primes)
     if len(set(ps)) != len(ps):
         raise ValueError("sieve primes must be distinct")
     L = math.prod(ps)
     S = sum(L // q for q in ps)
-    return L - 2 * S, (2 * len(ps) + 1) * L - 4 * S, L
-
-
-def sieve_delta_Delta(sieve_primes) -> tuple[Fraction, Fraction]:
-    """delta = 1 - 2*sum(1/q_i); Delta = (2m-1)/delta + 2.  Exact rationals."""
-    d, D, L = _sieve_terms(sieve_primes)
-    if d <= 0:
-        raise NonPositiveDelta(Fraction(d, L))
-    return Fraction(d, L), Fraction(D, d)
+    d = L - 2 * S
+    Delta = Fraction((2 * len(ps) + 1) * L - 4 * S, d) if d > 0 else None
+    return Fraction(d, L), Delta
 
 
 def check_thm34(p: int, t: int, n: int, facts: Factorization,
                 k_primes) -> SieveReport:
     """Sieve variant: delta > 0 and p^(t/2-2) > (2n+1) Delta W(k)^2."""
-    _require_degree_sum(n)
-    if t < 5:
-        raise ValueError("need t >= 5")
+    _require_verdict_args(n, t)
     facts.require_complete()
     all_primes = set(facts.primes())
     k_primes = tuple(sorted(k_primes))
@@ -140,13 +139,11 @@ def check_thm34(p: int, t: int, n: int, facts: Factorization,
     sieve_primes = tuple(sorted(all_primes - set(k_primes)))
     m = len(sieve_primes)
     Wk = 1 << len(k_primes)
-    try:
-        delta, Delta = sieve_delta_Delta(sieve_primes)
-    except NonPositiveDelta as exc:
-        return SieveReport(p, t, n, k_primes, sieve_primes, m, exc.delta,
-                           None, Wk, None, Verdict.FAIL)
-    rhs = Fraction((2 * n + 1) * Delta.numerator * Wk * Wk, Delta.denominator)
-    verdict = Verdict.PASS if _exceeds(p, t, rhs) else Verdict.FAIL
+    delta, Delta = sieve_delta_Delta(sieve_primes)
+    rhs = (None if Delta is None else
+           Fraction((2 * n + 1) * Delta.numerator * Wk * Wk, Delta.denominator))
+    verdict = (Verdict.PASS if rhs is not None and _exceeds(p, t, rhs)
+               else Verdict.FAIL)
     return SieveReport(p, t, n, k_primes, sieve_primes, m, delta, Delta, Wk,
                        rhs, verdict)
 
@@ -168,9 +165,10 @@ def find_sieve_params(p: int, t: int, n: int, facts: Factorization) -> SieveRepo
 
     L = prod(q) over all primes of p^t - 1 and A = sum(L/q) are formed once.
     For a k with sieve primes s, rest = A - sum(L/q for q in k) is sum(L/q)
-    over s, so d = L - 2 rest and D = (2|s|+1) L - 4 rest are _sieve_terms(s)
-    times prod(k), a scale that the reduced rhs cancels.
+    over s, so d = L - 2 rest and D = (2|s|+1) L - 4 rest are the d and D of
+    sieve_delta_Delta(s) times prod(k), a scale that the reduced rhs cancels.
     """
+    _require_verdict_args(n, t)
     facts.require_complete()
     primes = facts.primes()
     L = math.prod(primes)
@@ -232,11 +230,9 @@ def table1_row(a: int, b: int, n: int = 2) -> Table1Row:
         raise ValueError("need 1 <= a <= b")
     Wk = 1 << a
     window = primes_window(a + 1, b) if b > a else []
-    try:
-        delta, Delta = sieve_delta_Delta(window)
-    except NonPositiveDelta as exc:
-        return Table1Row(a, b, Wk, exc.delta, None, None)
-    return Table1Row(a, b, Wk, delta, Delta, (2 * n + 1) * Delta * Wk * Wk)
+    delta, Delta = sieve_delta_Delta(window)
+    rhs = None if Delta is None else (2 * n + 1) * Delta * Wk * Wk
+    return Table1Row(a, b, Wk, delta, Delta, rhs)
 
 
 def window_threshold(bound: Fraction | int, t_min: int) -> int:

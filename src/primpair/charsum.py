@@ -45,6 +45,11 @@ __all__ = [
 LAB_CAP = 1 << 14
 
 
+def _require_lab_size(Q: int) -> None:
+    if Q > LAB_CAP:
+        raise BudgetExceeded(f"field size {Q} above lab cap {LAB_CAP}")
+
+
 def theta(u: int) -> float:
     return euler_phi(factorize(u)) / u
 
@@ -56,8 +61,7 @@ class _Lab:
     asked."""
 
     def __init__(self, ctx: FieldCtx, r: int):
-        if ctx.Q > LAB_CAP:
-            raise BudgetExceeded(f"field size {ctx.Q} above lab cap {LAB_CAP}")
+        _require_lab_size(ctx.Q)
         ctx._check_subfield_degree(r)
         self.ctx = ctx
         self.r = r
@@ -138,11 +142,16 @@ class _Lab:
             self._rows = (f, rows)
         return rows
 
+    def require_sub(self, *zs: FieldElement) -> None:
+        """NotInSubfield unless every z lies in F_p."""
+        for z in zs:
+            if not self.ctx.in_subfield(z, self.r):
+                raise NotInSubfield(f"element index {self.ctx.to_index(z)} "
+                                    f"not fixed by Frobenius^{self.r}")
+
     def sub_trace(self, z: FieldElement) -> int:
         """Tr_{F_p/F_q}(z) for z in F_p, the index of psi0_sub(z)."""
-        if not self.ctx.in_subfield(z, self.r):
-            raise NotInSubfield(f"element index {self.ctx.to_index(z)} "
-                                f"not fixed by Frobenius^{self.r}")
+        self.require_sub(z)
         return self.ctx.trace_rel(self.ctx.mul(z, self.w), 1)
 
     def psi0_sub(self, z: FieldElement) -> int:
@@ -186,21 +195,20 @@ def characters_of_order(ctx: FieldCtx, s: int) -> list[int]:
     return [step * c % n for c in range(1, s + 1) if math.gcd(c, s) == 1]
 
 
-def rho_indicator(ctx: FieldCtx, u: int, eps: FieldElement, r: int = 1) -> int:
-    """Indicator of u-free units, via the explicit character expansion: 0 or 1."""
+def rho_indicator(ctx: FieldCtx, u: int, eps: FieldElement) -> int:
+    """Indicator of u-free units, via the explicit character expansion: 0 or 1.
+    The weights depend on the field alone; they are kept on its lab of r = 1."""
     if eps.is_zero():
         raise ZeroElement("rho is defined on units")
     ctx._check_orders(u)
-    lab = _lab(ctx, r)
-    return lab.weights(u)[ctx.discrete_log(eps)]
+    return _lab(ctx, 1).weights(u)[ctx.discrete_log(eps)]
 
 
 def tau_indicator(ctx: FieldCtx, a: FieldElement, eps: FieldElement, r: int) -> int:
     """Indicator of Tr(eps) = a, 0 or 1; evaluates both the direct form and
     the shifted-canonical form and checks they agree."""
     lab = _lab(ctx, r)
-    if not ctx.in_subfield(a, r):
-        raise NotInSubfield("a must lie in the subfield")
+    lab.require_sub(a)
     diff = ctx.sub(ctx.trace_rel(eps, r), a)
     direct = (sum(lab.psi0_sub(ctx.mul(u, diff)) for u in lab.subfield)
               * lab.inv_p % lab.ell)
@@ -251,10 +259,12 @@ def count_A_direct(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
                    check_expansion: bool = True) -> int:
     """|{eps outside P' : eps k1-free, f(eps) k2-free, Tr(eps)=a, Tr(f(eps))=b}|.
 
-    Optionally re-derives the count through the character-sum expansion and
-    checks agreement; both are below ell, so agreement mod ell is equality."""
+    a and b must lie in F_p, else NotInSubfield.  Optionally re-derives the
+    count through the character-sum expansion and checks agreement; both are
+    below ell, so agreement mod ell is equality."""
     lab = _lab(ctx, r)
     ctx._check_orders(k1, k2)
+    lab.require_sub(a, b)
     tr = lab.traces_by_log
     # for k | Q-1, g^l is k-free exactly when gcd(l, k) = 1
     count = sum(1 for l, l0 in lab.rows(f)

@@ -19,7 +19,7 @@ import sys
 from .bounds import (
     TABLE1_WINDOWS,
     Verdict,
-    _require_degree_sum,
+    _require_verdict_args,
     check_thm31,
     check_thm34,
     find_sieve_params,
@@ -27,6 +27,7 @@ from .bounds import (
     table1_row,
 )
 from .charsum import (
+    _require_lab_size,
     char_sum_chi,
     count_A_direct,
     rho_indicator,
@@ -41,7 +42,7 @@ from .errors import (
     PrimpairError,
 )
 from .ffield import make_field
-from .ntheory import FactorCache, FactorEffort, factor_prime_power_order
+from .ntheory import FactorCache, FactorEffort, factor_prime_power_order, is_prime
 from .ratfunc import (
     Poly,
     RationalFunction,
@@ -98,7 +99,7 @@ def _cache(args) -> FactorCache | None:
 
 def _cmd_check_bound(args) -> int:
     _split_prime_power(args.p)   # p must be a prime power
-    _require_degree_sum(args.n)  # before anything is factored or cached
+    _require_verdict_args(args.n, args.t)  # before anything is factored or cached
     facts = factor_prime_power_order(args.p, args.t, effort=_effort(args),
                                      cache=_cache(args))
     rep = check_thm31(args.p, args.t, args.n, facts)
@@ -115,7 +116,7 @@ def _cmd_check_bound(args) -> int:
 
 def _cmd_sieve(args) -> int:
     _split_prime_power(args.p)   # p must be a prime power
-    _require_degree_sum(args.n)  # before anything is factored or cached
+    _require_verdict_args(args.n, args.t)  # before anything is factored or cached
     facts = factor_prime_power_order(args.p, args.t, effort=_effort(args),
                                      cache=_cache(args))
     if not facts.complete:
@@ -271,13 +272,6 @@ def _cmd_witness(args) -> int:
     return EXIT_MISMATCH if len(found) < len(pairs) else EXIT_OK
 
 
-def _lab_field(args):
-    ctx = make_field(args.q, args.m, seed=args.seed, effort=_effort(args),
-                     cache=_cache(args))
-    rng = random.Random(args.seed)
-    return ctx, rng
-
-
 def _divisors(ctx) -> list[int]:
     """Every divisor of Q - 1, ascending, from the field's factorization."""
     divs = [1]
@@ -287,13 +281,14 @@ def _divisors(ctx) -> list[int]:
 
 
 def _suite_indicators(ctx, rng, r, samples):
+    subfield = ctx.subfield_elements(r)    # checks r before any work
     mismatches = checked = 0
     for u in list(ctx.order_facts.primes()) + [ctx.Q - 1]:
         for eps in ctx.units():
             checked += 1
             truth = 1 if ctx.is_ufree(eps, u) else 0
-            mismatches += rho_indicator(ctx, u, eps, r) != truth
-    for a in ctx.subfield_elements(r):
+            mismatches += rho_indicator(ctx, u, eps) != truth
+    for a in subfield:
         for eps in ctx.elements():
             checked += 1
             truth = 1 if ctx.trace_rel(eps, r) == a else 0
@@ -393,8 +388,14 @@ _SUITES = {
 def _cmd_charsum_lab(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
-    ctx, rng = _lab_field(args)
-    report, ok = _SUITES[args.suite](ctx, rng, args.r, args.samples)
+    # the lab cap, checked before GF(q^m) and its log table are built; a q
+    # that is not prime still gets make_field's message
+    if is_prime(args.q):
+        _require_lab_size(args.q ** args.m)
+    ctx = make_field(args.q, args.m, seed=args.seed, effort=_effort(args),
+                     cache=_cache(args))
+    report, ok = _SUITES[args.suite](ctx, random.Random(args.seed), args.r,
+                                     args.samples)
     _emit({
         "config": _run_config(args),
         "q": args.q, "m": args.m, "r": args.r,

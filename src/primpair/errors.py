@@ -33,14 +33,6 @@ class EmptyClass(PrimpairError):
     """A rational-function class contains no members."""
 
 
-class NonPositiveDelta(PrimpairError):
-    """Sieve delta is not positive; Delta is undefined."""
-
-    def __init__(self, delta):
-        super().__init__(f"delta = {delta} is not positive")
-        self.delta = delta
-
-
 class NotInSubfield(PrimpairError):
     """Element expected to lie in the designated subfield does not."""
 

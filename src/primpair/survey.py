@@ -190,8 +190,8 @@ def load_published_sieve() -> dict[int, list[tuple[int, int, int]]]:
 
 def published_exceptions(t: int) -> list[int]:
     """Failing entries with no published sieve row: the possible exceptions."""
-    failing = set(load_published_failing().get(t, []))
-    sieved = {p for p, _, _ in load_published_sieve().get(t, [])}
+    failing = set(_published_failing().get(t, ()))
+    sieved = {p for p, _, _ in _published_sieve().get(t, ())}
     return sorted(failing - sieved)
 
 
@@ -238,7 +238,7 @@ def reproduce_appendix(t: int, n: int = 2,
     return AppendixDiff(
         t, n,
         computed_failing=failing,
-        published_failing=tuple(sorted(load_published_failing().get(t, []))),
+        published_failing=tuple(sorted(_published_failing().get(t, ()))),
         computed_exceptions=exceptions,
         published_exceptions=tuple(published_exceptions(t)),
         unknown=unknown,

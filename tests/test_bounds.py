@@ -22,7 +22,7 @@ from primpair.bounds import (
     table1_row,
     window_threshold,
 )
-from primpair.errors import NonPositiveDelta, NotADivisor
+from primpair.errors import NotADivisor
 from primpair.ntheory import (
     Factorization,
     FactorEffort,
@@ -78,9 +78,9 @@ class TestSieveDeltaDelta:
         assert delta == Fraction(5, 7)
         assert Delta == Fraction(7, 5) + 2
 
-    def test_nonpositive_raises(self):
-        with pytest.raises(NonPositiveDelta):
-            sieve_delta_Delta([2, 3])    # 1 - 2(1/2 + 1/3) < 0
+    def test_nonpositive_has_no_Delta(self):
+        # 1 - 2(1/2 + 1/3) < 0
+        assert sieve_delta_Delta([2, 3]) == (Fraction(-2, 3), None)
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
@@ -90,12 +90,8 @@ class TestSieveDeltaDelta:
     @given(st.sets(st.sampled_from(primes_upto(2000)), max_size=40))
     def test_matches_the_per_term_sum(self, ps):
         delta = 1 - 2 * sum((Fraction(1, q) for q in ps), Fraction(0))
-        if delta <= 0:
-            with pytest.raises(NonPositiveDelta) as exc:
-                sieve_delta_Delta(ps)
-            assert exc.value.delta == delta
-        else:
-            assert sieve_delta_Delta(ps) == (delta, (2 * len(ps) - 1) / delta + 2)
+        Delta = (2 * len(ps) - 1) / delta + 2 if delta > 0 else None
+        assert sieve_delta_Delta(ps) == (delta, Delta)
 
 
 class TestCheckThm31:
@@ -148,6 +144,32 @@ class TestDegreeSum:
         _every_verdict_rejects(1)
 
 
+class TestExtensionDegree:
+    @pytest.mark.parametrize("t", [4, 3, 1, -2])
+    def test_below_five_rejected(self, t):
+        # find_sieve_params once searched every k first, with p^(t-4) a
+        # float below t = 4, and left t to its one check_thm34 call
+        facts = factor_prime_power_order(2, 22)
+        for call in (check_thm31, find_sieve_params,
+                     lambda *args: check_thm34(*args, [3])):
+            with pytest.raises(ValueError, match=r"^need t >= 5$"):
+                call(2, t, 2, facts)
+
+    def test_degree_sum_checked_first(self):
+        facts = factor_prime_power_order(2, 22)
+        for call in (check_thm31, find_sieve_params,
+                     lambda *args: check_thm34(*args, [3])):
+            with pytest.raises(ValueError, match="degree sum n = 1"):
+                call(2, 3, 1, facts)
+
+    def test_search_rejects_before_any_report(self, monkeypatch):
+        def no_report(*args):
+            raise AssertionError("check_thm34 called")
+        monkeypatch.setattr(bounds, "check_thm34", no_report)
+        with pytest.raises(ValueError, match="need t >= 5"):
+            find_sieve_params(2, 3, 2, factor_prime_power_order(2, 3))
+
+
 class TestCheckThm34:
     def test_spec_like_example(self):
         # 2^22 - 1 = 3 * 23 * 89 * 683; absorbing {3, 23} leaves m = 2
@@ -175,6 +197,12 @@ class TestCheckThm34:
             sieved = check_thm34(p, t, 2, facts, facts.primes())
             assert sieved.verdict == direct.verdict
             assert sieved.rhs == direct.rhs
+
+    def test_nonpositive_delta_fails(self):
+        # 3^8 - 1 = 2^5 * 5 * 41: sieving all three leaves delta < 0
+        rep = check_thm34(3, 8, 2, factor_prime_power_order(3, 8), [])
+        assert (rep.delta, rep.Delta, rep.rhs) == (Fraction(-92, 205), None, None)
+        assert rep.verdict is Verdict.FAIL
 
     def test_appendix_row(self):
         # published row: p = 8, t = 9 absorbs k = 7 with m = 2

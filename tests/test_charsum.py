@@ -531,6 +531,19 @@ class TestCountA:
             # check_expansion raises on disagreement
             count_A_direct(gf27, f, a, b, k1, k2, 1, check_expansion=True)
 
+    @pytest.mark.parametrize("check_expansion", [False, True])
+    def test_target_outside_subfield_rejected(self, check_expansion):
+        # x of GF(2^6) lies outside GF(4), so no trace over r = 2 reaches
+        # it; the direct count once returned 0 for it
+        ctx = make_field(2, 6)
+        f = _inverse_map(ctx)
+        x = ctx.from_index(2)
+        for a, b in ((x, ctx.one), (ctx.one, x)):
+            with pytest.raises(NotInSubfield,
+                               match=r"^element index 2 not fixed by Frobenius\^2$"):
+                count_A_direct(ctx, f, a, b, 1, 1, 2,
+                               check_expansion=check_expansion)
+
     def test_primitive_pair_count_via_characters(self, gf128):
         # A(Q-1, Q-1) with a = b = 1 for f = 1/x: both eps and 1/eps primitive
         # with both traces 1; cross-checked by brute force

@@ -106,6 +106,25 @@ class TestCheckBound:
         assert (code, capsys.readouterr().out) == (2, "")
         assert not path.exists()
 
+    @pytest.mark.parametrize("command,t", [("check-bound", "3"), ("sieve", "4")])
+    def test_degree_below_five_caches_nothing(self, capsys, tmp_path, command, t):
+        # t is checked with n, before p^t - 1 is factored and cached
+        path = tmp_path / "c.txt"
+        code = main(["--cache", str(path), command, "--p", "5", "--t", t])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", "error: need t >= 5\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("command", ["check-bound", "sieve"])
+    @pytest.mark.parametrize("argv,err", [
+        (("--p", "6", "--t", "3", "--n", "1"), "6 is not a prime power"),
+        (("--p", "5", "--t", "3", "--n", "1"), "degree sum n = 1 must be >= 2"),
+    ])
+    def test_checks_run_p_n_t(self, capsys, command, argv, err):
+        code = main(["--cache", "", command, *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
+
     def test_config_embedded(self, capsys):
         _, out = run(capsys, "--seed", "42", "check-bound", "--p", "2", "--t", "7")
         payload = json.loads(out)
@@ -399,6 +418,32 @@ class TestCharsumLab:
                                         "--m", "5", "--r", r, "--suite", suite)
         assert (code, out) == (2, "")
         assert err == f"error: {r} is not a positive divisor of 5\n"
+
+    @pytest.mark.parametrize("q,m,err", [
+        ("2", "20", "field size 1048576 above lab cap 16384"),
+        ("3", "9", "field size 19683 above lab cap 16384"),
+        ("6", "20", "6 is not prime"),
+    ])
+    def test_lab_cap_checked_before_the_field(self, capsys, monkeypatch, q, m, err):
+        # GF(2^20) took 1.5 s and 171 MB to build, only to be refused
+        def no_field(*args, **kwargs):
+            raise AssertionError("make_field called")
+        if err.startswith("field size"):
+            monkeypatch.setattr(cli, "make_field", no_field)
+        code = main(["--cache", "", "charsum-lab", "--q", q, "--m", m,
+                     "--suite", "indicators"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
+
+    def test_indicators_check_r_before_any_indicator(self, capsys, monkeypatch):
+        def no_indicator(*args):
+            raise AssertionError("rho_indicator called")
+        monkeypatch.setattr(cli, "rho_indicator", no_indicator)
+        code = main(["--cache", "", "charsum-lab", "--q", "2", "--m", "5",
+                     "--r", "2", "--suite", "indicators"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: 2 is not a positive divisor of 5\n"
 
     def test_float_formatting_stable(self, capsys):
         args = ("charsum-lab", "--q", "3", "--m", "3", "--suite", "weil",

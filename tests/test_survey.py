@@ -15,7 +15,14 @@ from primpair import cli, ntheory, survey
 from primpair.errors import NotInSubfield, OutOfScope
 from primpair.ffield import make_field
 from primpair.ntheory import FactorEffort, factorize
-from primpair.ratfunc import POLE, Poly, RationalFunction, eval_rational, sample_rational
+from primpair.ratfunc import (
+    POLE,
+    Poly,
+    RationalFunction,
+    eval_rational,
+    is_irreducible,
+    sample_rational,
+)
 from primpair.survey import (
     SurveyStatus,
     _split_prime_power,
@@ -336,6 +343,34 @@ class TestWitnessSearch:
             if ctx.is_primitive(eps):
                 have[ctx.trace_rel(eps, 1)] = True
         assert found == have
+
+
+class TestConstantSideClasses:
+    """The classes (1, 0) and (2, 0), which no verdict covers: over
+    GF(2^t), f = x has Tr f(eps) = Tr eps, and an irreducible x^2 + x + alpha
+    (exactly when Tr alpha = 1) has Tr f(eps) = 2 Tr eps + Tr alpha = 1."""
+
+    @pytest.mark.parametrize("m", [5, 6, 7, 8, 9])
+    def test_x_has_no_witness_at_0_1(self, m):
+        ctx = make_field(2, m)
+        f = RationalFunction(ctx.one, Poly((ctx.zero, ctx.one)), Poly((ctx.one,)))
+        res = witness_search(ctx, f, ctx.zero, ctx.one, 1)
+        assert res.witness is None and res.definitive
+        assert witness_search(ctx, f, ctx.one, ctx.one, 1).witness is not None
+
+    @pytest.mark.parametrize("m", [5, 6, 7, 8, 9])
+    def test_irreducible_quadratic_never_has_trace_zero(self, m):
+        ctx = make_field(2, m)
+        alphas = [x for x in ctx.elements() if ctx.trace_rel(x, 1) == ctx.one]
+        gf2 = ctx.subfield_elements(1)
+        pairs = [(a, b) for a in gf2 for b in gf2]
+        for alpha in random.Random(m).sample(alphas, 8):
+            num = Poly((alpha, ctx.one, ctx.one))
+            assert is_irreducible(ctx, num)
+            f = RationalFunction(ctx.one, num, Poly((ctx.one,)))
+            found = first_witnesses(ctx, f, pairs, 1, ctx.units())
+            # the exhaustive scan finds b = 1 only: (0, 0), (1, 0) have none
+            assert found and all(b == ctx.one for _, b in found)
 
 
 def _brute_force_witness(ctx, f, a, b, r):
