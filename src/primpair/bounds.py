@@ -20,6 +20,7 @@ from .ntheory import (
     is_prime,
     omega_and_W,
     primes_window,
+    split_prime_power,
 )
 
 __all__ = [
@@ -84,21 +85,27 @@ def _require_degree_sum(n: int) -> None:
         raise ValueError(f"degree sum n = {n} must be >= 2")
 
 
-def _require_verdict_args(n: int, t: int) -> None:
-    """The checks every verdict makes before any work, n before t: the
-    exponent t/2 - 2 of the sufficient condition needs t >= 5."""
+def _require_verdict_args(p: int, t: int, n: int) -> None:
+    """The gate of every verdict, and of its callers before they factor: p a
+    prime power, then n >= 2, then t >= 5 for the exponent t/2 - 2."""
+    split_prime_power(p)
     _require_degree_sum(n)
     if t < 5:
         raise ValueError("need t >= 5")
+
+
+def _require_verdict_input(p: int, t: int, n: int, facts: Factorization) -> None:
+    """The gate, then that facts, whose primes the verdict reads, is p^t - 1."""
+    _require_verdict_args(p, t, n)
+    if facts.n != p ** t - 1:
+        raise ValueError("facts must factor p^t - 1")
 
 
 def check_thm31(p: int, t: int, n: int, facts: Factorization) -> BoundReport:
     """Does p^(t/2-2) > (2n+1) W(p^t - 1)^2 hold?  A Pass covers every f of
     degree sum n >= 2 whose numerator and denominator both have degree
     >= 1."""
-    _require_verdict_args(n, t)
-    if facts.n != p ** t - 1:
-        raise ValueError("facts must factor p^t - 1")
+    _require_verdict_input(p, t, n, facts)
     if not facts.complete:
         return BoundReport(p, t, n, None, None, Verdict.UNKNOWN,
                            reason=f"partial factorization, cofactor {facts.cofactor}")
@@ -127,7 +134,7 @@ def sieve_delta_Delta(sieve_primes) -> tuple[Fraction, Fraction | None]:
 def check_thm34(p: int, t: int, n: int, facts: Factorization,
                 k_primes) -> SieveReport:
     """Sieve variant: delta > 0 and p^(t/2-2) > (2n+1) Delta W(k)^2."""
-    _require_verdict_args(n, t)
+    _require_verdict_input(p, t, n, facts)
     facts.require_complete()
     all_primes = set(facts.primes())
     k_primes = tuple(sorted(k_primes))
@@ -154,23 +161,27 @@ _SUBSET_PRIMES = 12
 
 
 def find_sieve_params(p: int, t: int, n: int, facts: Factorization) -> SieveReport:
-    """Search for a k that makes the sieve pass.
+    """The report of the k that _sieve_search picks for p^t - 1."""
+    _require_verdict_input(p, t, n, facts)
+    return check_thm34(p, t, n, facts,
+                       _sieve_search(p ** (t - 4), n, facts.primes()))
+
+
+def _sieve_search(lhs: int, n: int, primes: tuple[int, ...]) -> tuple[int, ...]:
+    """The k of the sieve search over the distinct ascending ``primes``,
+    with lhs = p^(t-4), in integers alone.
 
     Order: k = product of the j smallest primes for j = 0..omega, then every
     subset of the smallest min(omega, _SUBSET_PRIMES) primes by size and
-    position.  Returns the first Pass, else the first Fail with the largest
-    margin p^(t-4) den^2 - num^2 on the reduced rhs = num/den (a k with
-    delta <= 0 has none and loses to any k that has one).  Each k is decided
-    in integers; only the returned k gets a SieveReport.
+    position.  Returns the first k that passes, else the first Fail with
+    the largest margin lhs den^2 - num^2 on the reduced rhs = num/den (a k
+    with delta <= 0 has none and loses to any k that has one).
 
-    L = prod(q) over all primes of p^t - 1 and A = sum(L/q) are formed once.
-    For a k with sieve primes s, rest = A - sum(L/q for q in k) is sum(L/q)
-    over s, so d = L - 2 rest and D = (2|s|+1) L - 4 rest are the d and D of
-    sieve_delta_Delta(s) times prod(k), a scale that the reduced rhs cancels.
+    L = prod(q) and A = sum(L/q) over all primes are formed once.  For a k
+    with sieve primes s, rest = A - sum(L/q for q in k) is sum(L/q) over s,
+    so d = L - 2 rest and D = (2|s|+1) L - 4 rest are the d and D of
+    sieve_delta_Delta(s) times prod(k), which the reduced rhs cancels.
     """
-    _require_verdict_args(n, t)
-    facts.require_complete()
-    primes = facts.primes()
     L = math.prod(primes)
     parts = [L // q for q in primes]
     A = sum(parts)
@@ -179,7 +190,6 @@ def find_sieve_params(p: int, t: int, n: int, facts: Factorization) -> SieveRepo
     subsets = (pair for size in range(1, len(pool) + 1)
                for pair in zip(combinations(pool, size),
                                combinations(pool_parts, size)))
-    lhs = p ** (t - 4)
     scale = 2 * n + 1
     best = best_margin = None
     for k, k_parts in chain(prefixes, subsets):
@@ -191,12 +201,12 @@ def find_sieve_params(p: int, t: int, n: int, facts: Factorization) -> SieveRepo
             g = math.gcd(num, d)
             margin = lhs * (d // g) ** 2 - (num // g) ** 2
             if margin > 0:
-                return check_thm34(p, t, n, facts, k)
+                return k
             if best_margin is None or margin > best_margin:
                 best, best_margin = k, margin
         elif best is None:
             best = k
-    return check_thm34(p, t, n, facts, best)
+    return best
 
 
 @dataclass(frozen=True)

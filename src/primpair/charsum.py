@@ -45,9 +45,12 @@ __all__ = [
 LAB_CAP = 1 << 14
 
 
-def _require_lab_size(Q: int) -> None:
-    if Q > LAB_CAP:
-        raise BudgetExceeded(f"field size {Q} above lab cap {LAB_CAP}")
+def _require_lab_size(q: int, m: int) -> None:
+    """GF(q^m), q >= 2, must fit LAB_CAP.  As 2^15 > LAB_CAP, q^min(m, 15)
+    decides it for any m, and a size past 2^64 prints as q^m."""
+    if q ** min(m, LAB_CAP.bit_length()) > LAB_CAP:
+        size = q ** m if m * q.bit_length() <= 64 else f"{q}^{m}"
+        raise BudgetExceeded(f"field size {size} above lab cap {LAB_CAP}")
 
 
 def theta(u: int) -> float:
@@ -61,7 +64,7 @@ class _Lab:
     asked."""
 
     def __init__(self, ctx: FieldCtx, r: int):
-        _require_lab_size(ctx.Q)
+        _require_lab_size(ctx.q, ctx.m)
         ctx._check_subfield_degree(r)
         self.ctx = ctx
         self.r = r

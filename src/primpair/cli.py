@@ -35,12 +35,7 @@ from .charsum import (
     verify_lemma32,
     verify_lemma33,
 )
-from .errors import (
-    FactorizationIncomplete,
-    NotADivisor,
-    OutOfScope,
-    PrimpairError,
-)
+from .errors import FactorizationIncomplete, NotADivisor, PrimpairError
 from .ffield import make_field
 from .ntheory import FactorCache, FactorEffort, factor_prime_power_order, is_prime
 from .ratfunc import (
@@ -53,7 +48,6 @@ from .ratfunc import (
 from .survey import (
     _frac,
     _settle_pairs,
-    _split_prime_power,
     record_to_dict,
     reproduce_appendix,
 )
@@ -98,8 +92,7 @@ def _cache(args) -> FactorCache | None:
 # subcommands
 
 def _cmd_check_bound(args) -> int:
-    _split_prime_power(args.p)   # p must be a prime power
-    _require_verdict_args(args.n, args.t)  # before anything is factored or cached
+    _require_verdict_args(args.p, args.t, args.n)  # before anything is factored or cached
     facts = factor_prime_power_order(args.p, args.t, effort=_effort(args),
                                      cache=_cache(args))
     rep = check_thm31(args.p, args.t, args.n, facts)
@@ -115,8 +108,7 @@ def _cmd_check_bound(args) -> int:
 
 
 def _cmd_sieve(args) -> int:
-    _split_prime_power(args.p)   # p must be a prime power
-    _require_verdict_args(args.n, args.t)  # before anything is factored or cached
+    _require_verdict_args(args.p, args.t, args.n)  # before anything is factored or cached
     facts = factor_prime_power_order(args.p, args.t, effort=_effort(args),
                                      cache=_cache(args))
     if not facts.complete:
@@ -391,7 +383,7 @@ def _cmd_charsum_lab(args) -> int:
     # the lab cap, checked before GF(q^m) and its log table are built; a q
     # that is not prime still gets make_field's message
     if is_prime(args.q):
-        _require_lab_size(args.q ** args.m)
+        _require_lab_size(args.q, args.m)
     ctx = make_field(args.q, args.m, seed=args.seed, effort=_effort(args),
                      cache=_cache(args))
     report, ok = _SUITES[args.suite](ctx, random.Random(args.seed), args.r,
@@ -478,7 +470,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NotADivisor, OutOfScope, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FactorizationIncomplete as exc:

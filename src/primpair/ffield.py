@@ -297,9 +297,7 @@ class FieldCtx:
     Zech table fill in."""
 
     def __init__(self, q: int, m: int, modulus: tuple[int, ...],
-                 order_facts: Factorization,
-                 table_cap: int = DEFAULT_TABLE_CAP,
-                 gen_seed: int = 0):
+                 order_facts: Factorization, table_cap: int, gen_seed: int):
         self.q = q
         self.m = m
         self.modulus = modulus

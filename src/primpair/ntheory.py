@@ -35,6 +35,7 @@ __all__ = [
     "primes_upto",
     "primes_window",
     "integer_nth_root",
+    "split_prime_power",
 ]
 
 
@@ -200,9 +201,9 @@ class FactorCache:
     Line format: ``n=<dec> factors=<p1^e1,...> cofactor=1 status=C``.
     Loading reads the file as bytes and only indexes its lines by their
     first token; ``get(n)`` decodes and parses the lines of token
-    ``n=<n>`` on first use and keeps the first valid complete one.  Partial
-    (``status=P``) and corrupt lines, which older files may hold, are
-    misses, and so is a line that is no UTF-8; the other lines still load.
+    ``n=<n>`` on first use and keeps the first one of that form.  Any other
+    line, such as a partial (``status=P``) one that older files may hold,
+    a corrupt one or one that is no UTF-8, is a miss; the others still load.
     ``put`` appends a complete factorization whose n is not held yet, under
     a lock.
     """
@@ -229,7 +230,7 @@ class FactorCache:
             with self._lock:
                 for line in self._raw.pop(key, ()):
                     fac = _parse_cache_line(_decode_cache_line(line))
-                    if fac is not None and fac.complete and fac.n == n:
+                    if fac is not None and fac.n == n:
                         self._mem[n] = fac
                         break
         return self._mem.get(n)
@@ -257,21 +258,18 @@ def _decode_cache_line(line: bytes) -> str:
 
 
 def _parse_cache_line(line: str) -> Factorization | None:
-    line = line.strip()
-    if not line or line.startswith("#"):
-        return None
+    """The complete factorization of a line in the one form that
+    _format_cache_line writes; None for any other line."""
     try:
         kv = dict(tok.split("=", 1) for tok in line.split())
-        n = int(kv["n"])
+        if (kv["cofactor"], kv["status"]) != ("1", "C"):
+            return None
         factors = []
         if kv["factors"]:
             for part in kv["factors"].split(","):
                 p, e = part.split("^")
                 factors.append((int(p), int(e)))
-        cof = int(kv["cofactor"])
-        if kv["status"] != ("C" if cof == 1 else "P"):
-            return None
-        return Factorization(n, tuple(sorted(factors)), cof)
+        return Factorization(int(kv["n"]), tuple(factors))
     except (KeyError, ValueError):
         return None
 
@@ -488,6 +486,20 @@ def _prime_degree_root(m: int) -> tuple[int, int] | None:
         if root ** k == m:
             return root, k
     return None
+
+
+def split_prime_power(p: int) -> tuple[int, int]:
+    """(q, r) with p = q^r and q prime; ValueError if p is no prime power.
+    Integer roots of prime degree and is_prime decide it, never factoring."""
+    q, r = p, 1
+    while q > 1:
+        if is_prime(q):
+            return q, r
+        power = _prime_degree_root(q)
+        if power is None:
+            break
+        q, r = power[0], r * power[1]
+    raise ValueError(f"{p} is not a prime power")
 
 
 def integer_nth_root(n: int, k: int) -> int:

@@ -18,7 +18,7 @@ from .bounds import (
     BoundReport,
     SieveReport,
     Verdict,
-    _require_degree_sum,
+    _require_verdict_args,
     check_thm31,
     find_sieve_params,
     table1_row,
@@ -29,11 +29,10 @@ from .ffield import FieldCtx, FieldElement, make_field
 from .ntheory import (
     FactorCache,
     FactorEffort,
-    _prime_degree_root,
     factor_prime_power_order,
     integer_nth_root,
-    is_prime,
     primes_upto,
+    split_prime_power,
 )
 from .ratfunc import RationalFunction, eval_rational, sample_rational
 
@@ -117,29 +116,15 @@ def enumerate_prime_powers(p_max: int) -> list[int]:
     return sorted(out)
 
 
-def _split_prime_power(p: int) -> tuple[int, int]:
-    """(q, r) with p = q^r and q prime; ValueError if p is no prime power."""
-    q, r = p, 1
-    while q > 1:
-        if is_prime(q):
-            return q, r
-        power = _prime_degree_root(q)
-        if power is None:
-            break
-        q, r = power[0], r * power[1]
-    raise ValueError(f"{p} is not a prime power")
-
-
 def classify(p: int, t: int, n: int = 2,
              effort: FactorEffort = FactorEffort(),
              cache: FactorCache | None = None) -> SurveyRecord:
     """Sufficient condition first; on failure, automatic sieve search.  A
     proven status covers the classes (n1, n2) of degree sum n with both
-    degrees >= 1; n < 2 is rejected before anything is factored."""
+    degrees >= 1; the verdict gate runs before anything is factored."""
     if t < MIN_T:
         raise OutOfScope(f"t = {t} is out of survey scope")
-    _split_prime_power(p)   # validates
-    _require_degree_sum(n)
+    _require_verdict_args(p, t, n)
     facts = factor_prime_power_order(p, t, effort=effort, cache=cache)
     if not facts.complete:
         return SurveyRecord(p, t, n, SurveyStatus.UNKNOWN,
@@ -404,7 +389,7 @@ def verify_membership_sample(p: int, t: int, n: int, num_functions: int,
                         ("t", t), ("budget", budget)):  # make_field would name m = r t
         if value < 1:
             raise ValueError(f"{name} must be >= 1")
-    q, r = _split_prime_power(p)
+    q, r = split_prime_power(p)
     ctx = make_field(q, r * t, seed=0)
     exhaustive = ctx.Q <= EXHAUSTIVE_CAP
     rng = random.Random(seed)

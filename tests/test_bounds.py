@@ -1,6 +1,7 @@
 """Exact-rational bound checks against published constants and cross-checks."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -27,6 +28,7 @@ from primpair.ntheory import (
     Factorization,
     FactorEffort,
     factor_prime_power_order,
+    factorize,
     primes_upto,
 )
 from primpair.survey import enumerate_prime_powers, survey_range
@@ -170,6 +172,36 @@ class TestExtensionDegree:
             find_sieve_params(2, 3, 2, factor_prime_power_order(2, 3))
 
 
+# (p, t, facts, k) a verdict must refuse: 6 is no prime power, and the
+# primes of 3^8 - 1 are not those of 2^22 - 1, although the sieve with
+# k = {2} passes on them at (2, 22)
+_BAD_INPUT = [
+    pytest.param((6, 9, factorize(6 ** 9 - 1), (5,)), "6 is not a prime power",
+                 id="p6"),
+    pytest.param((2, 22, factor_prime_power_order(3, 8), (2,)),
+                 "facts must factor p^t - 1", id="facts-of-3^8"),
+]
+
+
+class TestVerdictInput:
+    @pytest.mark.parametrize("args,err", _BAD_INPUT)
+    def test_every_verdict_rejects(self, args, err):
+        p, t, facts, k = args
+        for call in (check_thm31, find_sieve_params,
+                     lambda *args: check_thm34(*args, k)):
+            with pytest.raises(ValueError, match=f"^{re.escape(err)}$"):
+                call(p, t, 2, facts)
+
+    @pytest.mark.parametrize("args,err", _BAD_INPUT)
+    def test_search_rejects_before_it_runs(self, monkeypatch, args, err):
+        def no_search(*args):
+            raise AssertionError("search ran")
+        monkeypatch.setattr(bounds, "_sieve_search", no_search)
+        p, t, facts, _ = args
+        with pytest.raises(ValueError, match=f"^{re.escape(err)}$"):
+            find_sieve_params(p, t, 2, facts)
+
+
 class TestCheckThm34:
     def test_spec_like_example(self):
         # 2^22 - 1 = 3 * 23 * 89 * 683; absorbing {3, 23} leaves m = 2
@@ -279,6 +311,30 @@ def _report_per_k_search(p, t, n, facts):
     return best
 
 
+def _search_per_k(lhs, n, primes):
+    """The sieve search's k from sieve_delta_Delta per candidate k: the same
+    k order, the first Pass, else the first largest margin on the reduced
+    rhs, and a delta <= 0 k kept only while nothing else is."""
+    pool = primes[:12]
+    ks = [primes[:j] for j in range(len(primes) + 1)]
+    ks += [combo for size in range(1, len(pool) + 1)
+           for combo in combinations(pool, size)]
+    best = best_margin = None
+    for k in ks:
+        _, Delta = sieve_delta_Delta(q for q in primes if q not in k)
+        if Delta is None:
+            if best is None:
+                best = k
+            continue
+        rhs = (2 * n + 1) * Delta * 4 ** len(k)
+        margin = lhs * rhs.denominator ** 2 - rhs.numerator ** 2
+        if margin > 0:
+            return k
+        if best_margin is None or margin > best_margin:
+            best, best_margin = k, margin
+    return best
+
+
 def _thm31_failures(ts):
     for t in ts:
         for p in enumerate_prime_powers(survey_range(t).p_max):
@@ -314,11 +370,12 @@ class TestSearchMatchesReportPerK:
         # the margins decide which k is returned
         k = data.draw(st.lists(st.sampled_from(primes), unique=True)
                       if primes else st.just([]))
-        rhs = check_thm34(2, 5, n, facts, k).rhs or 1
+        _, Delta = sieve_delta_Delta(q for q in primes if q not in k)
+        rhs = 1 if Delta is None else (2 * n + 1) * Delta * 4 ** len(k)
         p = data.draw(st.sampled_from([2, 3]), label="p")
         t = max(5, 4 + round(2 * math.log(rhs, p)) + data.draw(st.integers(-2, 2)))
-        assert find_sieve_params(p, t, n, facts) \
-            == _report_per_k_search(p, t, n, facts)
+        assert bounds._sieve_search(p ** (t - 4), n, facts.primes()) \
+            == _search_per_k(p ** (t - 4), n, facts.primes())
 
     @pytest.mark.parametrize("p,t,k", [
         (3, 8, (2, 5, 41)),     # delta <= 0 at k = 1, largest-margin Fail

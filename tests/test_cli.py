@@ -97,22 +97,32 @@ class TestCheckBound:
         assert (code, captured.out) == (2, "")
         assert captured.err == "error: degree sum n = 1 must be >= 2\n"
 
-    @pytest.mark.parametrize("command", ["check-bound", "sieve"])
-    def test_degree_sum_one_caches_nothing(self, capsys, tmp_path, command):
-        # n is checked before p^t - 1 is factored and appended to the cache
+    @pytest.mark.parametrize("command,p", [
+        pytest.param(command, p, id=command + suffix)
+        for p, suffix in [("3", ""), ("6", "-p6"), ("1", "-p1")]
+        for command in ["check-bound", "sieve"]])
+    def test_degree_sum_one_caches_nothing(self, capsys, tmp_path, command, p):
+        # p and n are checked before p^t - 1 is factored and appended to
+        # the cache
         path = tmp_path / "c.txt"
-        code = main(["--cache", str(path), command, "--p", "3", "--t", "7",
+        code = main(["--cache", str(path), command, "--p", p, "--t", "7",
                      "--n", "1"])
         assert (code, capsys.readouterr().out) == (2, "")
         assert not path.exists()
 
-    @pytest.mark.parametrize("command,t", [("check-bound", "3"), ("sieve", "4")])
-    def test_degree_below_five_caches_nothing(self, capsys, tmp_path, command, t):
-        # t is checked with n, before p^t - 1 is factored and cached
+    @pytest.mark.parametrize("command,t,p,err", [
+        pytest.param(command, t, p, err, id=f"{command}-{t}{suffix}")
+        for p, err, suffix in [("5", "need t >= 5", ""),
+                               ("6", "6 is not a prime power", "-p6"),
+                               ("1", "1 is not a prime power", "-p1")]
+        for command, t in [("check-bound", "3"), ("sieve", "4")]])
+    def test_degree_below_five_caches_nothing(self, capsys, tmp_path, command,
+                                              t, p, err):
+        # p and t are checked with n, before p^t - 1 is factored and cached
         path = tmp_path / "c.txt"
-        code = main(["--cache", str(path), command, "--p", "5", "--t", t])
+        code = main(["--cache", str(path), command, "--p", p, "--t", t])
         captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == (2, "", "error: need t >= 5\n")
+        assert (code, captured.out, captured.err) == (2, "", f"error: {err}\n")
         assert not path.exists()
 
     @pytest.mark.parametrize("command", ["check-bound", "sieve"])
@@ -423,6 +433,9 @@ class TestCharsumLab:
         ("2", "20", "field size 1048576 above lab cap 16384"),
         ("3", "9", "field size 19683 above lab cap 16384"),
         ("6", "20", "6 is not prime"),
+        # q^m is never written in decimal past 2^64, nor formed past the cap
+        ("2", "20000", "field size 2^20000 above lab cap 16384"),
+        ("3", str(10 ** 18), f"field size 3^{10 ** 18} above lab cap 16384"),
     ])
     def test_lab_cap_checked_before_the_field(self, capsys, monkeypatch, q, m, err):
         # GF(2^20) took 1.5 s and 171 MB to build, only to be refused

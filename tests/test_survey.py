@@ -14,7 +14,7 @@ import pytest
 from primpair import cli, ntheory, survey
 from primpair.errors import NotInSubfield, OutOfScope
 from primpair.ffield import make_field
-from primpair.ntheory import FactorEffort, factorize
+from primpair.ntheory import FactorCache, FactorEffort, factorize, split_prime_power
 from primpair.ratfunc import (
     POLE,
     Poly,
@@ -25,7 +25,6 @@ from primpair.ratfunc import (
 )
 from primpair.survey import (
     SurveyStatus,
-    _split_prime_power,
     classify,
     enumerate_prime_powers,
     first_witnesses,
@@ -82,10 +81,10 @@ class TestSplitPrimePower:
         for n in range(1, 20_001):
             factors = factorize(n).factors
             if len(factors) == 1:
-                assert _split_prime_power(n) == factors[0]
+                assert split_prime_power(n) == factors[0]
             else:
                 with pytest.raises(ValueError):
-                    _split_prime_power(n)
+                    split_prime_power(n)
 
     @pytest.mark.parametrize("p,split", [
         (2 ** 89, (2, 89)),
@@ -93,12 +92,12 @@ class TestSplitPrimePower:
         ((2 ** 61 - 1) ** 3, (2 ** 61 - 1, 3)),
     ])
     def test_large_powers(self, p, split):
-        assert _split_prime_power(p) == split
+        assert split_prime_power(p) == split
 
     @pytest.mark.parametrize("p", [0, 1, -8, 36, 6 ** 5, 2 ** 61 * 3])
     def test_rejects(self, p):
         with pytest.raises(ValueError):
-            _split_prime_power(p)
+            split_prime_power(p)
 
     @staticmethod
     def _survey_codes(capsys, cache, ts):
@@ -129,9 +128,12 @@ class TestClassify:
         with pytest.raises(OutOfScope):
             classify(2, 6)
 
-    def test_rejects_non_prime_power(self):
-        with pytest.raises(ValueError):
-            classify(6, 7)
+    def test_rejects_non_prime_power(self, tmp_path):
+        # the verdict gate rejects p before p^t - 1 is factored and cached
+        path = tmp_path / "c.txt"
+        with pytest.raises(ValueError, match="^6 is not a prime power$"):
+            classify(6, 7, cache=FactorCache(str(path)))
+        assert not path.exists()
 
     @pytest.mark.parametrize("p,t,status", [
         (2, 7, SurveyStatus.POSSIBLE_EXCEPTION),

@@ -34,7 +34,7 @@ def derive(lines) -> list[int]:
     hints = set()
     for line in lines:
         fac = _parse_cache_line(line)
-        if fac is not None and fac.complete:
+        if fac is not None:
             hints.update(p for p in fac.primes()[:-1] if p > HINT_FLOOR)
     return sorted(hints)
 
