@@ -13,7 +13,6 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .errors import NotADivisor
 from .ntheory import (
     Factorization,
     integer_nth_root,
@@ -142,7 +141,7 @@ def check_thm34(p: int, t: int, n: int, facts: Factorization,
         raise ValueError("k primes must be distinct")
     for q in k_primes:
         if q not in all_primes:
-            raise NotADivisor(f"{q} does not divide {p}^{t} - 1")
+            raise ValueError(f"{q} does not divide {p}^{t} - 1")
     sieve_primes = tuple(sorted(all_primes - set(k_primes)))
     m = len(sieve_primes)
     Wk = 1 << len(k_primes)

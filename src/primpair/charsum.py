@@ -23,7 +23,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, NotADivisor, NotInSubfield, ZeroElement
 from .ffield import FieldCtx, FieldElement
 from .ntheory import factorize, is_prime, mobius, squarefree_divisors, euler_phi
 from .ratfunc import RationalFunction
@@ -50,7 +49,7 @@ def _require_lab_size(q: int, m: int) -> None:
     decides it for any m, and a size past 2^64 prints as q^m."""
     if q ** min(m, LAB_CAP.bit_length()) > LAB_CAP:
         size = q ** m if m * q.bit_length() <= 64 else f"{q}^{m}"
-        raise BudgetExceeded(f"field size {size} above lab cap {LAB_CAP}")
+        raise ValueError(f"field size {size} above lab cap {LAB_CAP}")
 
 
 def theta(u: int) -> float:
@@ -146,11 +145,11 @@ class _Lab:
         return rows
 
     def require_sub(self, *zs: FieldElement) -> None:
-        """NotInSubfield unless every z lies in F_p."""
+        """ValueError unless every z lies in F_p."""
         for z in zs:
             if not self.ctx.in_subfield(z, self.r):
-                raise NotInSubfield(f"element index {self.ctx.to_index(z)} "
-                                    f"not fixed by Frobenius^{self.r}")
+                raise ValueError(f"element index {self.ctx.to_index(z)} "
+                                 f"not fixed by Frobenius^{self.r}")
 
     def sub_trace(self, z: FieldElement) -> int:
         """Tr_{F_p/F_q}(z) for z in F_p, the index of psi0_sub(z)."""
@@ -202,7 +201,7 @@ def rho_indicator(ctx: FieldCtx, u: int, eps: FieldElement) -> int:
     """Indicator of u-free units, via the explicit character expansion: 0 or 1.
     The weights depend on the field alone; they are kept on its lab of r = 1."""
     if eps.is_zero():
-        raise ZeroElement("rho is defined on units")
+        raise ValueError("rho is defined on units")
     ctx._check_orders(u)
     return _lab(ctx, 1).weights(u)[ctx.discrete_log(eps)]
 
@@ -262,7 +261,7 @@ def count_A_direct(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
                    check_expansion: bool = True) -> int:
     """|{eps outside P' : eps k1-free, f(eps) k2-free, Tr(eps)=a, Tr(f(eps))=b}|.
 
-    a and b must lie in F_p, else NotInSubfield.  Optionally re-derives the
+    a and b must lie in F_p, else ValueError.  Optionally re-derives the
     count through the character-sum expansion and checks agreement; both are
     below ell, so agreement mod ell is equality."""
     lab = _lab(ctx, r)
@@ -313,7 +312,7 @@ def verify_lemma32(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
                    b: FieldElement, k: int, m_prime: int, r: int) -> Lemma32Report:
     ctx._check_orders(k, m_prime)
     if not is_prime(m_prime) or k % m_prime == 0:
-        raise NotADivisor("need m a prime dividing Q-1 but not k")
+        raise ValueError("need m a prime dividing Q-1 but not k")
     lab = _lab(ctx, r)
     A_kk = count_A_direct(ctx, f, a, b, k, k, r, check_expansion=False)
     A_mk_k = count_A_direct(ctx, f, a, b, m_prime * k, k, r, check_expansion=False)

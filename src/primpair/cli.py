@@ -1,8 +1,9 @@
 """Command-line frontend.
 
-Every report embeds the run configuration (seed, factor budget) and is
-emitted with stable key order and fixed number formatting, so identical
-configurations produce byte-identical JSON.
+A subcommand returns its report and exit code, and main alone writes
+them: the report, with the run configuration (seed, factor budget) added,
+as JSON with stable key order and fixed number formatting, so identical
+configurations produce byte-identical output.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 3 unresolved factorization.
@@ -35,7 +36,7 @@ from .charsum import (
     verify_lemma32,
     verify_lemma33,
 )
-from .errors import FactorizationIncomplete, NotADivisor, PrimpairError
+from .errors import FactorizationIncomplete
 from .ffield import make_field
 from .ntheory import FactorCache, FactorEffort, factor_prime_power_order, is_prime
 from .ratfunc import (
@@ -68,10 +69,6 @@ def _f10(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
-
 def _run_config(args) -> dict:
     return {
         "seed": args.seed,
@@ -91,36 +88,32 @@ def _cache(args) -> FactorCache | None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_check_bound(args) -> int:
+def _cmd_check_bound(args) -> tuple[dict, int]:
     _require_verdict_args(args.p, args.t, args.n)  # before anything is factored or cached
     facts = factor_prime_power_order(args.p, args.t, effort=_effort(args),
                                      cache=_cache(args))
     rep = check_thm31(args.p, args.t, args.n, facts)
-    _emit({
-        "config": _run_config(args),
+    return {
         "p": rep.p, "t": rep.t, "n": rep.n,
         "W": rep.W,
         "rhs": _frac(rep.rhs),
         "verdict": rep.verdict.value,
         "reason": rep.reason,
-    })
-    return EXIT_UNRESOLVED if rep.verdict is Verdict.UNKNOWN else EXIT_OK
+    }, EXIT_UNRESOLVED if rep.verdict is Verdict.UNKNOWN else EXIT_OK
 
 
-def _cmd_sieve(args) -> int:
+def _cmd_sieve(args) -> tuple[dict, int]:
     _require_verdict_args(args.p, args.t, args.n)  # before anything is factored or cached
     facts = factor_prime_power_order(args.p, args.t, effort=_effort(args),
                                      cache=_cache(args))
     if not facts.complete:
-        _emit({"config": _run_config(args), "verdict": "Unknown",
-               "reason": f"partial factorization, cofactor {facts.cofactor}"})
-        return EXIT_UNRESOLVED
+        reason = f"partial factorization, cofactor {facts.cofactor}"
+        return {"verdict": "Unknown", "reason": reason}, EXIT_UNRESOLVED
     if args.k_primes is not None:
         rep = check_thm34(args.p, args.t, args.n, facts, args.k_primes)
     else:
         rep = find_sieve_params(args.p, args.t, args.n, facts)
-    _emit({
-        "config": _run_config(args),
+    return {
         "p": rep.p, "t": rep.t, "n": rep.n,
         "k_primes": list(rep.k_primes),
         "sieve_primes": list(rep.sieve_primes),
@@ -129,11 +122,10 @@ def _cmd_sieve(args) -> int:
         "Delta": _frac(rep.Delta),
         "rhs": _frac(rep.rhs),
         "verdict": rep.verdict.value,
-    })
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_table1(args) -> int:
+def _cmd_table1(args) -> tuple[dict, int]:
     rows = []
     for a, b in TABLE1_WINDOWS:
         row = table1_row(a, b, args.n)
@@ -143,14 +135,12 @@ def _cmd_table1(args) -> int:
             "Delta": _frac(row.Delta_ub),
             "bound": _frac(row.rhs_ub),
         })
-    _emit({"config": _run_config(args), "rows": rows})
-    return EXIT_OK
+    return {"rows": rows}, EXIT_OK
 
 
-def _cmd_lemma35(args) -> int:
+def _cmd_lemma35(args) -> tuple[dict, int]:
     rec = lemma35_constants()
-    _emit({
-        "config": _run_config(args),
+    return {
         "product_digits": rec.product_digits,
         "product_exceeds_657e5586": rec.product_exceeds_657e5586,
         "twelfth_root_exceeds_542e463": rec.twelfth_root_exceeds_542e463,
@@ -158,18 +148,16 @@ def _cmd_lemma35(args) -> int:
         "next_prime_after_12983": rec.next_prime_after_12983,
         "next_prime_twelfth_power_exceeds_2": rec.next_prime_twelfth_power_exceeds_2,
         "all_hold": rec.all_hold,
-    })
-    return EXIT_OK if rec.all_hold else EXIT_MISMATCH
+    }, EXIT_OK if rec.all_hold else EXIT_MISMATCH
 
 
-def _cmd_survey(args) -> int:
+def _cmd_survey(args) -> tuple[dict, int]:
     if args.paper_diff and args.n != 2:
         # the published tables are for n = 2 only
         raise ValueError("--paper-diff needs --n 2")
     diff = reproduce_appendix(args.t, args.n, effort=_effort(args),
                               cache=_cache(args))
     payload = {
-        "config": _run_config(args),
         "t": diff.t, "n": diff.n,
         "records": [record_to_dict(r) for r in diff.records],
         "unknown": list(diff.unknown),
@@ -184,12 +172,11 @@ def _cmd_survey(args) -> int:
             "exceptions_extra": list(extra_e),
             "clean": diff.clean,
         }
-    _emit(payload)
     if diff.unknown:
-        return EXIT_UNRESOLVED
+        return payload, EXIT_UNRESOLVED
     if args.paper_diff and not diff.clean:
-        return EXIT_MISMATCH
-    return EXIT_OK
+        return payload, EXIT_MISMATCH
+    return payload, EXIT_OK
 
 
 def _parse_function(ctx, spec: str) -> RationalFunction:
@@ -204,7 +191,7 @@ def _parse_function(ctx, spec: str) -> RationalFunction:
     return f
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> tuple[dict, int]:
     # checked before GF(q^(r t)) is built, whose error would name m = r t
     # and whose log table may take seconds
     for flag, value in (("--r", args.r), ("--t", args.t),
@@ -221,8 +208,7 @@ def _cmd_witness(args) -> int:
     ctx = make_field(args.q, args.r * args.t, seed=args.seed,
                      effort=_effort(args), cache=_cache(args))
     if not ctx.order_facts.complete:
-        _emit({"config": _run_config(args), "status": "Unresolved"})
-        return EXIT_UNRESOLVED
+        return {"status": "Unresolved"}, EXIT_UNRESOLVED
     rng = random.Random(args.seed)
     if args.f:
         f = _parse_function(ctx, args.f)
@@ -251,8 +237,7 @@ def _cmd_witness(args) -> int:
             entry["witness_index"] = ctx.to_index(eps)
             entry["image_index"] = ctx.to_index(eval_rational(ctx, f, eps))
         results.append(entry)
-    _emit({
-        "config": _run_config(args),
+    return {
         "q": args.q, "r": args.r, "t": args.t, "n": f.degsum,
         "function": {
             "scale": ctx.to_index(f.scale),
@@ -260,8 +245,7 @@ def _cmd_witness(args) -> int:
             "den": [ctx.to_index(c) for c in f.den.coeffs],
         },
         "results": results,
-    })
-    return EXIT_MISMATCH if len(found) < len(pairs) else EXIT_OK
+    }, EXIT_MISMATCH if len(found) < len(pairs) else EXIT_OK
 
 
 def _divisors(ctx) -> list[int]:
@@ -296,7 +280,7 @@ def _suite_weil(ctx, rng, r, samples):
     records = []
     divisors = _divisors(ctx)[1:]
     if not divisors:
-        raise NotADivisor(f"Q - 1 = {ctx.Q - 1} has no character order >= 2")
+        raise ValueError(f"Q - 1 = {ctx.Q - 1} has no character order >= 2")
     for _ in range(samples):
         n1, n2 = rng.choice([(1, 1), (2, 1), (1, 2), (2, 2)])
         f = sample_rational(ctx, n1, n2, rng)
@@ -331,7 +315,7 @@ def _suite_lemma32(ctx, rng, r, samples):
     subfield = ctx.subfield_elements(r)
     primes = list(ctx.order_facts.primes())
     if not primes:
-        raise NotADivisor(f"Q - 1 = {ctx.Q - 1} has no prime divisor m")
+        raise ValueError(f"Q - 1 = {ctx.Q - 1} has no prime divisor m")
     divisors = _divisors(ctx)
     out = []
     ok = True
@@ -377,7 +361,7 @@ _SUITES = {
 }
 
 
-def _cmd_charsum_lab(args) -> int:
+def _cmd_charsum_lab(args) -> tuple[dict, int]:
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     # the lab cap, checked before GF(q^m) and its log table are built; a q
@@ -388,14 +372,12 @@ def _cmd_charsum_lab(args) -> int:
                      cache=_cache(args))
     report, ok = _SUITES[args.suite](ctx, random.Random(args.seed), args.r,
                                      args.samples)
-    _emit({
-        "config": _run_config(args),
+    return {
         "q": args.q, "m": args.m, "r": args.r,
         "suite": args.suite,
         "report": report,
         "passed": ok,
-    })
-    return EXIT_OK if ok else EXIT_MISMATCH
+    }, EXIT_OK if ok else EXIT_MISMATCH
 
 
 # ---------------------------------------------------------------------------
@@ -466,19 +448,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """The one writer of process output: a subcommand's report, with the run
+    configuration added, on stdout, or one line on stderr."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        payload["config"] = _run_config(args)
+        print(json.dumps(payload, sort_keys=True, indent=2))
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FactorizationIncomplete as exc:
         print(f"unresolved: {exc}", file=sys.stderr)
         return EXIT_UNRESOLVED
-    except PrimpairError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Bad input (a value outside the domain an operation is defined on) raises
+ValueError; a factorization that a result needs but could not be completed
+raises FactorizationIncomplete.
+"""
 
 
 class PrimpairError(Exception):
@@ -7,35 +12,3 @@ class PrimpairError(Exception):
 
 class FactorizationIncomplete(PrimpairError):
     """A complete factorization was required but only a partial one is available."""
-
-
-class ZeroElement(PrimpairError):
-    """Multiplicative operation applied to the zero element."""
-
-
-class NotADivisor(PrimpairError):
-    """Argument was required to divide the group order (or a given modulus) but does not."""
-
-
-class BadSubfieldDegree(PrimpairError):
-    """Relative trace requested for a degree that does not divide the extension degree."""
-
-
-class BudgetExceeded(PrimpairError):
-    """An iteration or size budget ran out before the operation completed."""
-
-
-class DegreeZero(PrimpairError):
-    """Irreducibility is undefined for constant polynomials."""
-
-
-class EmptyClass(PrimpairError):
-    """A rational-function class contains no members."""
-
-
-class NotInSubfield(PrimpairError):
-    """Element expected to lie in the designated subfield does not."""
-
-
-class OutOfScope(PrimpairError):
-    """Parameters outside the supported survey range."""

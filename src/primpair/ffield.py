@@ -14,15 +14,9 @@ import math
 import random
 from dataclasses import dataclass
 from operator import add
+from typing import NoReturn
 
-from .errors import (
-    BadSubfieldDegree,
-    BudgetExceeded,
-    DegreeZero,
-    FactorizationIncomplete,
-    NotADivisor,
-    ZeroElement,
-)
+from .errors import FactorizationIncomplete
 from .ntheory import (
     FactorEffort,
     FactorCache,
@@ -253,7 +247,7 @@ def is_irreducible(ctx: FieldCtx, poly: Poly) -> bool:
     products, not the d - 1 of a composition."""
     d = poly.degree
     if d < 1:
-        raise DegreeZero("irreducibility undefined for constants")
+        raise ValueError("irreducibility undefined for constants")
     if d == 1:
         return True
     poly = poly_scale(ctx, poly, ctx.inv(poly.coeffs[-1]))
@@ -290,6 +284,16 @@ def is_irreducible(ctx: FieldCtx, poly: Poly) -> bool:
             return False
         h = step(h)
     return minus_x(h).is_zero()
+
+
+def _random_monic_irreducible(ctx: FieldCtx, n: int, rng) -> Poly:
+    """The first monic irreducible of degree n over GF(Q) drawn by rng, each
+    candidate's n low coefficients drawn uniformly, lowest first."""
+    while True:
+        coeffs = [ctx.from_index(rng.randrange(ctx.Q)) for _ in range(n)]
+        cand = Poly(tuple(coeffs) + (ctx.one,))
+        if is_irreducible(ctx, cand):
+            return cand
 
 
 class FieldCtx:
@@ -391,7 +395,7 @@ class FieldCtx:
             if e == 0:
                 return self.one
             if e < 0:
-                raise ZeroElement("negative power of zero")
+                raise ValueError("negative power of zero")
             return self.zero
         if self._log is not None:
             return self._exp[self._log[x] * e % (self.Q - 1)]
@@ -401,7 +405,7 @@ class FieldCtx:
 
     def inv(self, x: FieldElement) -> FieldElement:
         if not x:
-            raise ZeroElement("zero has no inverse")
+            raise ValueError("zero has no inverse")
         return self.pow(x, self.Q - 2)
 
     # -- structure queries
@@ -424,14 +428,14 @@ class FieldCtx:
     def _check_subfield_degree(self, r: int) -> None:
         """GF(q^r) is a subfield of GF(q^m) exactly when r >= 1 divides m."""
         if r < 1 or self.m % r:
-            raise BadSubfieldDegree(f"{r} is not a positive divisor of {self.m}")
+            raise ValueError(f"{r} is not a positive divisor of {self.m}")
 
     def _check_orders(self, *orders: int) -> None:
         """Every order, of a character or of a u-free test, is a positive
         divisor of Q - 1."""
         for k in orders:
             if k < 1 or (self.Q - 1) % k:
-                raise NotADivisor(f"{k} is not a positive divisor of {self.Q - 1}")
+                raise ValueError(f"{k} is not a positive divisor of {self.Q - 1}")
 
     def _trace_columns(self, r: int) -> tuple[tuple[int, int], ...]:
         """(k, column k packed in reverse) for each coordinate k that Tr can
@@ -462,7 +466,7 @@ class FieldCtx:
 
     def element_order(self, eps: FieldElement) -> int:
         if not eps:
-            raise ZeroElement("order of zero is undefined")
+            raise ValueError("order of zero is undefined")
         if not self.order_facts.complete:
             raise FactorizationIncomplete(self.order_facts.n)
         n = self.Q - 1
@@ -483,7 +487,7 @@ class FieldCtx:
     def is_ufree(self, eps: FieldElement, u: int) -> bool:
         """gcd(u, (Q-1)/order) = 1; u-free per the character-sum setup."""
         if not eps:
-            raise ZeroElement("u-free is defined on units only")
+            raise ValueError("u-free is defined on units only")
         self._check_orders(u)
         return math.gcd(u, (self.Q - 1) // self.element_order(eps)) == 1
 
@@ -509,16 +513,16 @@ class FieldCtx:
     def discrete_log(self, eps: FieldElement) -> int:
         """j with generator^j = eps, read from the log table."""
         if not eps:
-            raise ZeroElement("discrete log of zero")
+            raise ValueError("discrete log of zero")
         if self._log is None:
-            raise self._no_tables()
+            self._raise_no_tables()
         return self._log[eps]
 
-    def _no_tables(self) -> Exception:
-        """Why this field has no exp/log tables."""
+    def _raise_no_tables(self) -> NoReturn:
+        """Why this field has no exp/log tables, raised."""
         if self.generator is None:
-            return FactorizationIncomplete("the log table needs a generator")
-        return BudgetExceeded(f"GF({self.q}^{self.m}) is above the log-table cap")
+            raise FactorizationIncomplete("the log table needs a generator")
+        raise ValueError(f"GF({self.q}^{self.m}) is above the log-table cap")
 
     def zech(self) -> list[int | None]:
         """Z[k] = log(1 + g^k) for k in [0, Q-1), None where 1 + g^k = 0
@@ -526,7 +530,7 @@ class FieldCtx:
         36, 1990).  Read from the log table, built on first use."""
         if self._zech is None:
             if self._log is None:
-                raise self._no_tables()
+                self._raise_no_tables()
             log, one = self._log, self.one
             self._zech = [log.get(self.add(x, one)) for x in self._exp]
         return self._zech
@@ -572,13 +576,10 @@ def make_field(q: int, m: int, seed: int = 0, *,
     if m == 1:
         modulus = (0, 1)          # x; degree-0 elements never need reduction
     else:
-        # the prime field, with no O(q) log table and not the caller's cache
+        # over the prime field, with no O(q) log table and not the caller's
+        # cache, an element index is the element itself
         base = make_field(q, 1, table_cap=0)
         rng = random.Random(("modulus", q, m, seed).__repr__())
-        while True:
-            cand = [rng.randrange(q) for _ in range(m)] + [1]
-            if is_irreducible(base, Poly(tuple(map(FieldElement, cand)))):
-                modulus = tuple(cand)
-                break
+        modulus = tuple(map(int, _random_monic_irreducible(base, m, rng).coeffs))
     facts = factor_prime_power_order(q, m, effort=effort, cache=cache)
     return FieldCtx(q, m, modulus, facts, table_cap=table_cap, gen_seed=seed)

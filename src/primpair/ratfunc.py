@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyClass
 from .ffield import (
     FieldCtx,
     FieldElement,
     Poly,
+    _random_monic_irreducible,
     is_irreducible,
     poly_eval,
     poly_one,
@@ -91,20 +91,11 @@ def eval_rational(ctx: FieldCtx, f: RationalFunction, eps: FieldElement):
 
 
 def zero_pole_set(ctx: FieldCtx, f: RationalFunction) -> tuple[frozenset, frozenset]:
-    """(P, P') with P the in-field zeros and poles of f and P' = P + {0}."""
-    P = set()
-    for x in ctx.elements():
-        if poly_eval(ctx, f.num, x).is_zero() or poly_eval(ctx, f.den, x).is_zero():
-            P.add(x)
-    return frozenset(P), frozenset(P | {ctx.zero})
-
-
-def _random_monic_irreducible(ctx: FieldCtx, n: int, rng) -> Poly:
-    while True:
-        coeffs = [ctx.from_index(rng.randrange(ctx.Q)) for _ in range(n)]
-        cand = Poly(tuple(coeffs) + (ctx.one,))
-        if is_irreducible(ctx, cand):
-            return cand
+    """(P, P') with P the in-field zeros and poles of f and P' = P + {0}.
+    The scale of a canonical f is nonzero, so f(x) is falsy, 0 or POLE,
+    exactly on P."""
+    P = frozenset(x for x in ctx.elements() if not eval_rational(ctx, f, x))
+    return P, P | {ctx.zero}
 
 
 def sample_rational(ctx: FieldCtx, n1: int, n2: int, rng) -> RationalFunction:
@@ -113,7 +104,7 @@ def sample_rational(ctx: FieldCtx, n1: int, n2: int, rng) -> RationalFunction:
     if min(n1, n2) < 0 or n1 + n2 < 1:
         raise ValueError("degrees must be >= 0 and degsum >= 1")
     if n1 == n2 and num_monic_irreducible(ctx.Q, n1) < 2:
-        raise EmptyClass(f"class ({n1}, {n2}) is empty over GF({ctx.Q})")
+        raise ValueError(f"class ({n1}, {n2}) is empty over GF({ctx.Q})")
     while True:
         num = poly_one(ctx) if n1 == 0 else _random_monic_irreducible(ctx, n1, rng)
         den = poly_one(ctx) if n2 == 0 else _random_monic_irreducible(ctx, n2, rng)

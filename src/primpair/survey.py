@@ -24,7 +24,7 @@ from .bounds import (
     table1_row,
     window_threshold,
 )
-from .errors import FactorizationIncomplete, NotInSubfield, OutOfScope
+from .errors import FactorizationIncomplete
 from .ffield import FieldCtx, FieldElement, make_field
 from .ntheory import (
     FactorCache,
@@ -95,7 +95,7 @@ def survey_range(t: int, n: int = 2) -> RangeSpec:
     """Candidate range for one t: p^t above the window threshold is settled,
     so only p below the derived t-th root needs individual classification."""
     if t < MIN_T:
-        raise OutOfScope(f"t = {t} below survey minimum {MIN_T}")
+        raise ValueError(f"t = {t} below survey minimum {MIN_T}")
     for t_anchor, a, b in reversed(_RANGE_ANCHORS):
         if t >= t_anchor:
             row = table1_row(a, b, n)
@@ -123,7 +123,7 @@ def classify(p: int, t: int, n: int = 2,
     proven status covers the classes (n1, n2) of degree sum n with both
     degrees >= 1; the verdict gate runs before anything is factored."""
     if t < MIN_T:
-        raise OutOfScope(f"t = {t} is out of survey scope")
+        raise ValueError(f"t = {t} is out of survey scope")
     _require_verdict_args(p, t, n)
     facts = factor_prime_power_order(p, t, effort=effort, cache=cache)
     if not facts.complete:
@@ -280,7 +280,7 @@ def first_witnesses(ctx: FieldCtx, f: RationalFunction, pairs, r: int,
     """The first eps of ``candidates`` that witnesses each (a, b) of
     ``pairs``: eps and f(eps) primitive, Tr eps = a and Tr f(eps) = b.  One
     pass settles every pair; a pair that no candidate witnesses is absent.
-    A trace outside GF(q^r), which no element has, raises NotInSubfield.
+    A trace outside GF(q^r), which no element has, raises ValueError.
 
     The checks run cheapest first: an eps whose trace opens no pair costs
     one trace, and primitivity, a powmod per prime of Q - 1 on an untabled
@@ -297,8 +297,8 @@ def first_witnesses(ctx: FieldCtx, f: RationalFunction, pairs, r: int,
         open_b.setdefault(a, set()).add(b)
     for x in set(open_b).union(*open_b.values()):
         if not ctx.in_subfield(x, r):
-            raise NotInSubfield(f"trace index {ctx.to_index(x)} is not in "
-                                f"the subfield of degree {r}")
+            raise ValueError(f"trace index {ctx.to_index(x)} is not in "
+                             f"the subfield of degree {r}")
     left = sum(map(len, open_b.values()))
     found = {}
     cofactor_digits = [_digits((ctx.Q - 1) // ell, ctx.q)

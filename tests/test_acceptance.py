@@ -34,7 +34,6 @@ from primpair.charsum import (
     verify_lemma32,
     verify_lemma33,
 )
-from primpair.errors import NotADivisor
 from primpair.ffield import make_field
 from primpair.ntheory import FactorCache, factor_prime_power_order, factorize
 from primpair.ratfunc import sample_rational

@@ -23,7 +23,6 @@ from primpair.bounds import (
     table1_row,
     window_threshold,
 )
-from primpair.errors import NotADivisor
 from primpair.ntheory import (
     Factorization,
     FactorEffort,
@@ -213,7 +212,7 @@ class TestCheckThm34:
 
     def test_invalid_k_prime(self):
         facts = factor_prime_power_order(2, 22)
-        with pytest.raises(NotADivisor):
+        with pytest.raises(ValueError, match=r"^5 does not divide 2\^22 - 1$"):
             check_thm34(2, 22, 2, facts, [3, 5])
 
     def test_repeated_k_prime(self):

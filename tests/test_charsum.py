@@ -19,7 +19,6 @@ from primpair.charsum import (
     verify_lemma32,
     verify_lemma33,
 )
-from primpair.errors import BadSubfieldDegree, NotADivisor, NotInSubfield, ZeroElement
 from primpair.ffield import make_field
 from primpair.ntheory import euler_phi, factorize, mobius
 from primpair import charsum, ratfunc
@@ -95,7 +94,7 @@ def _char_sum_triple_loop(ctx, f, a, b, s1, s2, r):
 
 class TestOrderChecks:
     """Every order is a positive divisor of Q - 1 = 26: 0 and the divisor
-    -2 raise NotADivisor at each entry point that takes one, FieldCtx.is_ufree
+    -2 raise ValueError at each entry point that takes one, FieldCtx.is_ufree
     among them."""
 
     ENTRY_POINTS = {
@@ -118,7 +117,7 @@ class TestOrderChecks:
     @pytest.mark.parametrize("k", [0, -2])
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     def test_rejected(self, gf27, entry, k):
-        with pytest.raises(NotADivisor, match="is not a positive divisor of 26"):
+        with pytest.raises(ValueError, match="is not a positive divisor of 26"):
             self.ENTRY_POINTS[entry](gf27, _inverse_map(gf27), gf27.zero, k)
 
 
@@ -136,7 +135,7 @@ class TestCharacters:
             assert len(characters_of_order(gf128, s)) == euler_phi(factorize(s))
 
     def test_order_must_divide(self, gf128):
-        with pytest.raises(NotADivisor):
+        with pytest.raises(ValueError, match="^3 is not a positive divisor of 127$"):
             characters_of_order(gf128, 3)
 
     # chi(g^j) = mult_roots[j * mhat mod (Q-1)] and psi(x) = add_roots[Tr x]
@@ -194,7 +193,8 @@ class TestLab:
         lab = _lab(ctx, r)
         for z in ctx.elements():
             if not ctx.in_subfield(z, r):
-                with pytest.raises(NotInSubfield):
+                with pytest.raises(ValueError, match=rf"^element index {ctx.to_index(z)} "
+                                                     rf"not fixed by Frobenius\^{r}$"):
                     lab.psi0_sub(z)
                 continue
             tr = ctx.zero
@@ -206,7 +206,7 @@ class TestLab:
     @pytest.mark.parametrize("r", [0, -1, 2])
     def test_subfield_degree_checked_first(self, r):
         ctx = make_field(2, 5)
-        with pytest.raises(BadSubfieldDegree):
+        with pytest.raises(ValueError, match=f"^{r} is not a positive divisor of 5$"):
             _lab(ctx, r)
         assert r not in ctx.labs
 
@@ -215,7 +215,7 @@ class TestLab:
         ctx = make_field(2, 4)
         z = ctx.from_index(2)          # x, of degree 4 over GF(2)
         assert z != 2
-        with pytest.raises(NotInSubfield,
+        with pytest.raises(ValueError,
                            match=r"^element index 2 not fixed by Frobenius\^2$"):
             _lab(ctx, 2).psi0_sub(z)
 
@@ -262,7 +262,7 @@ class TestRhoIndicator:
             assert lab.weights(k) == [th * o % ell for o in ref]
 
     def test_zero_rejected(self, gf27):
-        with pytest.raises(ZeroElement):
+        with pytest.raises(ValueError, match="^rho is defined on units$"):
             rho_indicator(gf27, 2, gf27.zero)
 
 
@@ -539,7 +539,7 @@ class TestCountA:
         f = _inverse_map(ctx)
         x = ctx.from_index(2)
         for a, b in ((x, ctx.one), (ctx.one, x)):
-            with pytest.raises(NotInSubfield,
+            with pytest.raises(ValueError,
                                match=r"^element index 2 not fixed by Frobenius\^2$"):
                 count_A_direct(ctx, f, a, b, 1, 1, 2,
                                check_expansion=check_expansion)
@@ -606,7 +606,7 @@ class TestLemmas:
     def test_lemma32_validates_inputs(self, gf27):
         f = _inverse_map(gf27)
         z = gf27.zero
-        with pytest.raises(NotADivisor):
+        with pytest.raises(ValueError, match="^need m a prime dividing Q-1 but not k$"):
             verify_lemma32(gf27, f, z, z, 2, 2, 1)    # m divides k
 
     def test_lemma33_holds_on_samples(self, gf25):

@@ -628,3 +628,24 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["--format", "csv", "check-bound", "--p", "2", "--t", "7"])
         assert exc.value.code == 2
+
+
+class TestErrorContract:
+    # bad input from any layer is a ValueError, which main alone turns into
+    # exit 2, no stdout and one stderr line with the message word for word
+    @pytest.mark.parametrize("argv,message", [
+        (["sieve", "--p", "3", "--t", "8", "--k-primes", "7"],
+         "7 does not divide 3^8 - 1"),
+        (["survey", "--t", "6"], "t = 6 below survey minimum 7"),
+        (["witness", "--q", "2", "--t", "1", "--n", "4"],
+         "class (2, 2) is empty over GF(2)"),
+        (["charsum-lab", "--q", "2", "--m", "1", "--suite", "weil"],
+         "Q - 1 = 1 has no character order >= 2"),
+        (["charsum-lab", "--q", "2", "--m", "1", "--suite", "lemma32"],
+         "Q - 1 = 1 has no prime divisor m"),
+        (["check-bound", "--p", "6", "--t", "7"], "6 is not a prime power"),
+    ])
+    def test_bad_input_exits_two(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")

@@ -1,5 +1,6 @@
 """Every name a primpair module exports resolves, every name it imports is
-used, every import is at module level, and no check is an `assert`."""
+used, every import is at module level, no check is an `assert`, and every
+raise names one of the error contract's types."""
 
 import ast
 import importlib
@@ -42,6 +43,30 @@ def test_no_assert_statements(name):
     tree = ast.parse(inspect.getsource(importlib.import_module(name)))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+# bad input is a ValueError and an unfinished factorization is
+# FactorizationIncomplete; AssertionError marks a broken internal invariant
+# and ZeroDivisionError a polynomial reduced mod zero
+RAISED = {"ValueError", "FactorizationIncomplete", "AssertionError",
+          "ZeroDivisionError"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_raises_name_the_error_contract(name):
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    stray = [(node.lineno, ast.unparse(node))
+             for node in ast.walk(tree) if isinstance(node, ast.Raise)
+             if not (isinstance(node.exc, ast.Call)
+                     and isinstance(node.exc.func, ast.Name)
+                     and node.exc.func.id in RAISED)]
+    assert stray == []
+
+
+def test_errors_defines_the_two_types():
+    tree = ast.parse(inspect.getsource(importlib.import_module("primpair.errors")))
+    assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] \
+        == ["PrimpairError", "FactorizationIncomplete"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -11,12 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.galoistools import gf_pow_mod
 
-from primpair.errors import (
-    BadSubfieldDegree,
-    BudgetExceeded,
-    NotADivisor,
-    ZeroElement,
-)
 from primpair.ffield import (
     FieldElement,
     Poly,
@@ -97,7 +91,7 @@ class TestArithmetic:
     def test_inverse(self, gf125):
         for x in gf125.units():
             assert gf125.mul(x, gf125.inv(x)) == gf125.one
-        with pytest.raises(ZeroElement):
+        with pytest.raises(ValueError, match="^zero has no inverse$"):
             gf125.inv(gf125.zero)
 
     def test_pow_agrees_with_repeated_mul(self, gf128):
@@ -335,7 +329,7 @@ class TestMultiplicativeStructure:
             assert gf81.is_ufree(x, 1)
 
     def test_ufree_requires_divisor(self, gf81):
-        with pytest.raises(NotADivisor):
+        with pytest.raises(ValueError, match="^3 is not a positive divisor of 80$"):
             gf81.is_ufree(gf81.one, 3)      # 3 does not divide 80
 
     def test_order_without_tables(self):
@@ -353,7 +347,7 @@ class TestMultiplicativeStructure:
 
     def test_discrete_log_needs_table(self):
         ctx = make_field(2, 13, table_cap=1)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(ValueError, match=r"^GF\(2\^13\) is above the log-table cap$"):
             ctx.discrete_log(ctx.generator)
 
 
@@ -377,9 +371,10 @@ class TestZech:
 
     def test_needs_table(self):
         ctx = make_field(2, 13, table_cap=1)
-        with pytest.raises(BudgetExceeded):
+        cap = r"^GF\(2\^13\) is above the log-table cap$"
+        with pytest.raises(ValueError, match=cap):
             ctx.zech()
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(ValueError, match=cap):
             ctx.poly_logs(Poly((ctx.one,)))
 
     @pytest.mark.parametrize("q,m", [(2, 4), (3, 4), (5, 3)])
@@ -490,7 +485,7 @@ class TestTrace:
             assert outer == total
 
     def test_bad_subfield_degree(self, gf128):
-        with pytest.raises(BadSubfieldDegree):
+        with pytest.raises(ValueError, match="^2 is not a positive divisor of 7$"):
             gf128.trace_rel(gf128.one, 2)   # 2 does not divide 7
 
 
@@ -523,7 +518,7 @@ class TestSubfield:
         # 5 % -1 == 0, and the trace for r = -1 was the identity
         ctx = make_field(2, 5)
         args = (r,) if method == "subfield_elements" else (ctx.from_index(3), r)
-        with pytest.raises(BadSubfieldDegree, match=f"{r} is not a positive divisor of 5"):
+        with pytest.raises(ValueError, match=f"{r} is not a positive divisor of 5"):
             getattr(ctx, method)(*args)
 
     def test_trivial_subfield(self, gf128):
