@@ -72,8 +72,7 @@ class SieveReport:
     m: int
     delta: Fraction
     Delta: Fraction | None      # None when delta <= 0
-    Wk: int
-    rhs: Fraction | None        # (2n+1) * Delta * Wk^2
+    rhs: Fraction | None        # (2n+1) * Delta * W(k)^2, W(k) = 2^|k_primes|
     verdict: Verdict
 
 
@@ -141,7 +140,8 @@ def check_thm34(p: int, t: int, n: int, facts: Factorization,
         raise ValueError("k primes must be distinct")
     for q in k_primes:
         if q not in all_primes:
-            raise ValueError(f"{q} does not divide {p}^{t} - 1")
+            raise ValueError(f"{q} does not divide {p}^{t} - 1" if is_prime(q)
+                             else f"{q} is not prime")
     sieve_primes = tuple(sorted(all_primes - set(k_primes)))
     m = len(sieve_primes)
     Wk = 1 << len(k_primes)
@@ -150,8 +150,8 @@ def check_thm34(p: int, t: int, n: int, facts: Factorization,
            Fraction((2 * n + 1) * Delta.numerator * Wk * Wk, Delta.denominator))
     verdict = (Verdict.PASS if rhs is not None and _exceeds(p, t, rhs)
                else Verdict.FAIL)
-    return SieveReport(p, t, n, k_primes, sieve_primes, m, delta, Delta, Wk,
-                       rhs, verdict)
+    return SieveReport(p, t, n, k_primes, sieve_primes, m, delta, Delta, rhs,
+                       verdict)
 
 
 # The subset stage of the sieve search tries every subset of this many of

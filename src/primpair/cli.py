@@ -2,7 +2,8 @@
 
 A subcommand returns its report and exit code, and main alone writes
 them: the report, with the run configuration (seed, factor budget) added,
-as JSON with stable key order and fixed number formatting, so identical
+as JSON with stable key order and fixed number formatting, a fraction as
+"num/den" and a verdict by name (survey.json_value), so identical
 configurations produce byte-identical output.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error,
@@ -12,6 +13,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import random
@@ -47,8 +49,8 @@ from .ratfunc import (
     sample_rational,
 )
 from .survey import (
-    _frac,
     _settle_pairs,
+    json_value,
     record_to_dict,
     reproduce_appendix,
 )
@@ -93,13 +95,8 @@ def _cmd_check_bound(args) -> tuple[dict, int]:
     facts = factor_prime_power_order(args.p, args.t, effort=_effort(args),
                                      cache=_cache(args))
     rep = check_thm31(args.p, args.t, args.n, facts)
-    return {
-        "p": rep.p, "t": rep.t, "n": rep.n,
-        "W": rep.W,
-        "rhs": _frac(rep.rhs),
-        "verdict": rep.verdict.value,
-        "reason": rep.reason,
-    }, EXIT_UNRESOLVED if rep.verdict is Verdict.UNKNOWN else EXIT_OK
+    return (dataclasses.asdict(rep),
+            EXIT_UNRESOLVED if rep.verdict is Verdict.UNKNOWN else EXIT_OK)
 
 
 def _cmd_sieve(args) -> tuple[dict, int]:
@@ -113,29 +110,14 @@ def _cmd_sieve(args) -> tuple[dict, int]:
         rep = check_thm34(args.p, args.t, args.n, facts, args.k_primes)
     else:
         rep = find_sieve_params(args.p, args.t, args.n, facts)
-    return {
-        "p": rep.p, "t": rep.t, "n": rep.n,
-        "k_primes": list(rep.k_primes),
-        "sieve_primes": list(rep.sieve_primes),
-        "m": rep.m,
-        "delta": _frac(rep.delta),
-        "Delta": _frac(rep.Delta),
-        "rhs": _frac(rep.rhs),
-        "verdict": rep.verdict.value,
-    }, EXIT_OK
+    return dataclasses.asdict(rep), EXIT_OK
 
 
 def _cmd_table1(args) -> tuple[dict, int]:
-    rows = []
-    for a, b in TABLE1_WINDOWS:
-        row = table1_row(a, b, args.n)
-        rows.append({
-            "a": row.a, "b": row.b, "Wk": row.Wk,
-            "delta": _frac(row.delta_lb),
-            "Delta": _frac(row.Delta_ub),
-            "bound": _frac(row.rhs_ub),
-        })
-    return {"rows": rows}, EXIT_OK
+    rows = [table1_row(a, b, args.n) for a, b in TABLE1_WINDOWS]
+    return {"rows": [{"a": r.a, "b": r.b, "Wk": r.Wk, "delta": r.delta_lb,
+                      "Delta": r.Delta_ub, "bound": r.rhs_ub}
+                     for r in rows]}, EXIT_OK
 
 
 def _cmd_lemma35(args) -> tuple[dict, int]:
@@ -160,16 +142,16 @@ def _cmd_survey(args) -> tuple[dict, int]:
     payload = {
         "t": diff.t, "n": diff.n,
         "records": [record_to_dict(r) for r in diff.records],
-        "unknown": list(diff.unknown),
+        "unknown": diff.unknown,
     }
     if args.paper_diff:
         missing_f, extra_f = diff.failing_diff
         missing_e, extra_e = diff.exceptions_diff
         payload["paper_diff"] = {
-            "failing_missing": list(missing_f),
-            "failing_extra": list(extra_f),
-            "exceptions_missing": list(missing_e),
-            "exceptions_extra": list(extra_e),
+            "failing_missing": missing_f,
+            "failing_extra": extra_f,
+            "exceptions_missing": missing_e,
+            "exceptions_extra": extra_e,
             "clean": diff.clean,
         }
     if diff.unknown:
@@ -454,7 +436,7 @@ def main(argv=None) -> int:
     try:
         payload, code = args.func(args)
         payload["config"] = _run_config(args)
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2, default=json_value))
         return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

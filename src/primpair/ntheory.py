@@ -368,8 +368,6 @@ def factorize(n: int, effort: FactorEffort = FactorEffort()) -> Factorization:
     unresolved = 1
     while composites:
         m = composites.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import json
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -53,12 +54,18 @@ __all__ = [
     "MembershipReport",
     "verify_membership_sample",
     "record_to_dict",
+    "json_value",
     "EXHAUSTIVE_CAP",
 ]
 
 EXHAUSTIVE_CAP = 1 << 20
 
 MIN_T = 7   # t = 5, 6 are out of survey scope
+
+
+def _require_survey_t(t: int) -> None:
+    if t < MIN_T:
+        raise ValueError(f"t = {t} below survey minimum {MIN_T}")
 
 
 class SurveyStatus(Enum):
@@ -94,8 +101,7 @@ _RANGE_ANCHORS = [(7, 6, 22), (8, 5, 19), (9, 5, 17), (10, 5, 15)]
 def survey_range(t: int, n: int = 2) -> RangeSpec:
     """Candidate range for one t: p^t above the window threshold is settled,
     so only p below the derived t-th root needs individual classification."""
-    if t < MIN_T:
-        raise ValueError(f"t = {t} below survey minimum {MIN_T}")
+    _require_survey_t(t)
     for t_anchor, a, b in reversed(_RANGE_ANCHORS):
         if t >= t_anchor:
             row = table1_row(a, b, n)
@@ -122,8 +128,7 @@ def classify(p: int, t: int, n: int = 2,
     """Sufficient condition first; on failure, automatic sieve search.  A
     proven status covers the classes (n1, n2) of degree sum n with both
     degrees >= 1; the verdict gate runs before anything is factored."""
-    if t < MIN_T:
-        raise ValueError(f"t = {t} is out of survey scope")
+    _require_survey_t(t)
     _require_verdict_args(p, t, n)
     facts = factor_prime_power_order(p, t, effort=effort, cache=cache)
     if not facts.complete:
@@ -408,32 +413,41 @@ def verify_membership_sample(p: int, t: int, n: int, num_functions: int,
 # ---------------------------------------------------------------------------
 # serialization
 
-def _frac(x: Fraction | None) -> str | None:
+def json_value(x: Fraction | Enum | None) -> str | None:
+    """The one JSON rule for report values: a Fraction as "num/den", a
+    verdict or status by its name, None as null.  It is the ``default`` of
+    the CLI's json.dumps; any other type gets json's own TypeError."""
     if x is None:
         return None
-    return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, Enum):
+        return x.value
+    if isinstance(x, Fraction):     # an ABC check, the slowest of the three
+        return f"{x.numerator}/{x.denominator}"
+    return json.JSONEncoder().default(x)
 
 
 def record_to_dict(rec: SurveyRecord) -> dict:
+    """A record as plain JSON data, spelled out: on the warm survey path a
+    per-field walk with json_value costs several times more."""
     out = {
         "p": rec.p,
         "t": rec.t,
         "n": rec.n,
-        "status": rec.status.value,
+        "status": json_value(rec.status),
     }
     if rec.bound is not None:
         out["thm31"] = {
             "W": rec.bound.W,
-            "rhs": _frac(rec.bound.rhs),
-            "verdict": rec.bound.verdict.value,
+            "rhs": json_value(rec.bound.rhs),
+            "verdict": json_value(rec.bound.verdict),
         }
     if rec.sieve is not None:
         out["sieve"] = {
             "k_primes": list(rec.sieve.k_primes),
             "m": rec.sieve.m,
-            "delta": _frac(rec.sieve.delta),
-            "Delta": _frac(rec.sieve.Delta),
-            "verdict": rec.sieve.verdict.value,
+            "delta": json_value(rec.sieve.delta),
+            "Delta": json_value(rec.sieve.Delta),
+            "verdict": json_value(rec.sieve.verdict),
         }
     if rec.reason:
         out["reason"] = rec.reason

@@ -214,6 +214,12 @@ class TestCheckThm34:
         facts = factor_prime_power_order(2, 22)
         with pytest.raises(ValueError, match=r"^5 does not divide 2\^22 - 1$"):
             check_thm34(2, 22, 2, facts, [3, 5])
+        # 4 and 1 divide 3^8 - 1 = 6560; what rules them out is that
+        # neither is prime
+        facts = factor_prime_power_order(3, 8)
+        for q in (4, 1):
+            with pytest.raises(ValueError, match=f"^{q} is not prime$"):
+                check_thm34(3, 8, 2, facts, [q])
 
     def test_repeated_k_prime(self):
         # W(k) counts the distinct primes of k; a repeat would double it

@@ -537,6 +537,16 @@ CLI_DIGESTS = {
     ("--seed", "2", "witness", "--q", "2", "--r", "2", "--t", "5", "--n", "4",
      "--exhaustive"):
         (0, "48a04e74df6e4950abd8893ea0c8cd85774505882971ed5558747cea70ac9e98"),
+    # the edge reports: a partial factorization (W and rhs null, a reason),
+    # delta < 0 with no k (Delta and rhs null), and Unknown survey records
+    ("--budget", "1", "check-bound", "--p", "2", "--t", "101"):
+        (3, "00d4058e482d6936a3e774f9af9a85f3db9aabd6e6d9764daf0538e488b3aa21"),
+    ("sieve", "--p", "2", "--t", "60", "--k-primes"):
+        (0, "4629715c7d8d74893732012738c5aa4d46ccede9954b869b1d59080ecd5c63e0"),
+    ("--budget", "1", "sieve", "--p", "2", "--t", "101"):
+        (3, "2cf9e323be1113d446ad3ca57e459dc38c4dbf75e2279b5ddbaaa8a98364b21f"),
+    ("--budget", "0", "survey", "--t", "13"):
+        (3, "668155e948727d9a335a3542a572c6a95a0d8dc2abe67a6e1ab89b1bf8c8b431"),
 }
 
 
@@ -644,6 +654,8 @@ class TestErrorContract:
         (["charsum-lab", "--q", "2", "--m", "1", "--suite", "lemma32"],
          "Q - 1 = 1 has no prime divisor m"),
         (["check-bound", "--p", "6", "--t", "7"], "6 is not a prime power"),
+        (["sieve", "--p", "3", "--t", "8", "--k-primes", "4"], "4 is not prime"),
+        (["sieve", "--p", "3", "--t", "8", "--k-primes", "1"], "1 is not prime"),
     ])
     def test_bad_input_exits_two(self, capsys, argv, message):
         code = main(argv)

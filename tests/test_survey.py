@@ -7,11 +7,13 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from primpair import cli, ntheory, survey
+from primpair.bounds import Verdict
 from primpair.ffield import make_field
 from primpair.ntheory import FactorCache, FactorEffort, factorize, split_prime_power
 from primpair.ratfunc import (
@@ -27,6 +29,7 @@ from primpair.survey import (
     classify,
     enumerate_prime_powers,
     first_witnesses,
+    json_value,
     load_published_failing,
     load_published_sieve,
     published_exceptions,
@@ -124,7 +127,7 @@ class TestSplitPrimePower:
 
 class TestClassify:
     def test_out_of_scope(self):
-        with pytest.raises(ValueError, match="^t = 6 is out of survey scope$"):
+        with pytest.raises(ValueError, match="^t = 6 below survey minimum 7$"):
             classify(2, 6)
 
     def test_rejects_non_prime_power(self, tmp_path):
@@ -551,3 +554,12 @@ class TestSerialization:
         json.dumps(d)     # must be serializable
         assert d["status"] == "ProvenBySieve"
         assert d["sieve"]["m"] == rec.sieve.m
+
+    def test_json_value(self):
+        assert json_value(Fraction(-6, 4)) == "-3/2"
+        assert json_value(Fraction(20)) == "20/1"
+        assert json_value(Verdict.UNKNOWN) == "Unknown"
+        assert json_value(SurveyStatus.PROVEN_BY_SIEVE) == "ProvenBySieve"
+        assert json_value(None) is None
+        with pytest.raises(TypeError, match="^Object of type float is not"):
+            json_value(0.5)
