@@ -162,6 +162,7 @@ _SUBSET_PRIMES = 12
 def find_sieve_params(p: int, t: int, n: int, facts: Factorization) -> SieveReport:
     """The report of the k that _sieve_search picks for p^t - 1."""
     _require_verdict_input(p, t, n, facts)
+    facts.require_complete()
     return check_thm34(p, t, n, facts,
                        _sieve_search(p ** (t - 4), n, facts.primes()))
 

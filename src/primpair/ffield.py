@@ -238,52 +238,48 @@ def _poly_powmod(ctx: FieldCtx, base: Poly, e: int, mod: Poly) -> Poly:
 
 def is_irreducible(ctx: FieldCtx, poly: Poly) -> bool:
     """Rabin irreducibility test over GF(Q), Q = ctx.Q (von zur Gathen &
-    Gerhard, Modern Computer Algebra, 14.9), on one chain h_k = x^(Q^k) mod
-    P, k = 1..d.  Over GF(Q), m > 1, the Q-th power fixes every coefficient,
-    so h_(k+1) = h_k(h_1) mod P: one power x^Q, then a Horner composition per
-    link (von zur Gathen & Shoup, Computing Frobenius maps and factoring
-    polynomials, Comput. Complexity 2, 1992).  Over a prime field a link is
-    the packed q-th power of the last in a _Kernel built on P: about log2 q
-    products, not the d - 1 of a composition."""
+    Gerhard, Modern Computer Algebra, 14.9): P of degree d is irreducible
+    exactly when h_d = x and h_k - x is prime to P at each k = d/l, l prime,
+    where h_k = x^(Q^k) mod P.  Over a prime field each link is the packed
+    q-th power of the last in a _Kernel built on P, and coprimality is a
+    unit test: once h_d = x, P divides x^(q^d) - x, so GF(q)[x]/(P) is a
+    product of fields GF(q^e) with e | d, where a (q^d - 1)-th power is 1
+    exactly on the units.  Over GF(Q), m > 1, the Q-th power fixes every
+    coefficient, so h_(k+1) = h_k(h_1) mod P: one power x^Q, then a Horner
+    composition per link (von zur Gathen & Shoup, Computing Frobenius maps
+    and factoring polynomials, Comput. Complexity 2, 1992), with a gcd at
+    each k = d/l."""
     d = poly.degree
     if d < 1:
         raise ValueError("irreducibility undefined for constants")
     if d == 1:
         return True
     poly = poly_scale(ctx, poly, ctx.inv(poly.coeffs[-1]))
-    if ctx.m == 1:
-        kernel = _Kernel(poly.coeffs, ctx.q)
-        x = kernel.pack((0, 1))
-
-        def step(h):
-            return kernel.powmod(h, ctx.q)
-
-        def minus_x(h):
-            h = kernel.reduce(h + (ctx.q - 1) * x)
-            return make_poly(ctx, map(FieldElement, kernel.unpack(h)))
-        h = step(x)
-    else:
-        x_q = _poly_powmod(ctx, Poly((ctx.zero, ctx.one)), ctx.Q, poly)
-
-        def step(h):    # h(x^Q) mod P by Horner's rule
-            acc = Poly(())
-            for c in reversed(h.coeffs):
-                cs = list(poly_mod(ctx, poly_mul(ctx, acc, x_q), poly).coeffs) or [ctx.zero]
-                cs[0] = ctx.add(cs[0], c)
-                acc = make_poly(ctx, cs)
-            return acc
-
-        def minus_x(h):
-            h = list(h.coeffs) + [ctx.zero] * (2 - len(h.coeffs))
-            h[1] = ctx.sub(h[1], ctx.one)
-            return make_poly(ctx, h)
-        h = x_q
     rabin = {d // p for p in range(2, d + 1) if d % p == 0 and is_prime(p)}
-    for k in range(1, d):       # h = x^(Q^k) mod P
-        if k in rabin and poly_gcd(ctx, poly, minus_x(h)).degree != 0:
-            return False
-        h = step(h)
-    return minus_x(h).is_zero()
+    if ctx.m == 1:
+        kernel, q = _Kernel(poly.coeffs, ctx.q), ctx.q
+        x = h = kernel.pack((0, 1))
+        links = []
+        for k in range(1, d + 1):       # h = x^(q^k) mod P
+            h = kernel.powmod(h, q)
+            if k in rabin:
+                links.append(kernel.reduce(h + (q - 1) * x))
+        return h == x and all(kernel.powmod(g, q ** d - 1) == 1 for g in links)
+    x = Poly((ctx.zero, ctx.one))
+    x_q = h = _poly_powmod(ctx, x, ctx.Q, poly)
+    for k in range(1, d):               # h = x^(Q^k) mod P
+        if k in rabin:
+            cs = list(h.coeffs) + [ctx.zero] * (2 - len(h.coeffs))
+            cs[1] = ctx.sub(cs[1], ctx.one)
+            if poly_gcd(ctx, poly, make_poly(ctx, cs)).degree != 0:
+                return False
+        acc = Poly(())                  # h(x^Q) mod P by Horner's rule
+        for c in reversed(h.coeffs):
+            cs = list(poly_mod(ctx, poly_mul(ctx, acc, x_q), poly).coeffs) or [ctx.zero]
+            cs[0] = ctx.add(cs[0], c)
+            acc = make_poly(ctx, cs)
+        h = acc
+    return h == x
 
 
 def _random_monic_irreducible(ctx: FieldCtx, n: int, rng) -> Poly:

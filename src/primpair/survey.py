@@ -306,6 +306,8 @@ def first_witnesses(ctx: FieldCtx, f: RationalFunction, pairs, r: int,
                              f"the subfield of degree {r}")
     left = sum(map(len, open_b.values()))
     found = {}
+    if not left:
+        return found
     cofactor_digits = [_digits((ctx.Q - 1) // ell, ctx.q)
                        for ell in ctx.order_facts.primes()]
     trace_rel, is_primitive = ctx.trace_rel, ctx.is_primitive

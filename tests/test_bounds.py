@@ -23,6 +23,7 @@ from primpair.bounds import (
     table1_row,
     window_threshold,
 )
+from primpair.errors import FactorizationIncomplete
 from primpair.ntheory import (
     Factorization,
     FactorEffort,
@@ -199,6 +200,19 @@ class TestVerdictInput:
         p, t, facts, _ = args
         with pytest.raises(ValueError, match=f"^{re.escape(err)}$"):
             find_sieve_params(p, t, 2, facts)
+
+    def test_partial_rejects_before_search(self, monkeypatch):
+        # the search reads only facts.primes(), so a partial factorization
+        # could be searched before check_thm34 rejected it
+        def no_search(*args):
+            raise AssertionError("search ran")
+        monkeypatch.setattr(bounds, "_sieve_search", no_search)
+        facts = factor_prime_power_order(2, 101, effort=FactorEffort(rho_iterations=1))
+        assert not facts.complete
+        with pytest.raises(FactorizationIncomplete,
+                           match=f"^factorization of {facts.n} has composite "
+                                 f"cofactor {facts.cofactor}$"):
+            find_sieve_params(2, 101, 2, facts)
 
 
 class TestCheckThm34:

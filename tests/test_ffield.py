@@ -1,6 +1,8 @@
 """Finite-field layer: arithmetic laws, traces, orders, subfields."""
 
 import gc
+import hashlib
+import itertools
 import math
 import random
 import weakref
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.galoistools import gf_pow_mod
 
+from primpair import ffield
 from primpair.ffield import (
     FieldElement,
     Poly,
@@ -189,6 +192,18 @@ def test_modulus_and_generator_pinned(q, m):
     assert (ctx.modulus, _coeffs(ctx, ctx.generator)) == PINNED_FIELDS[(q, m)]
 
 
+# SHA-256 of the repr of the list of moduli make_field draws over this grid,
+# in grid order: a change to the Rabin test or the sampler keeps every draw
+MODULUS_GRID = [(q, m, s) for q in (2, 3, 5, 7, 11, 13, 31, 257)
+                for m in range(2, 12) for s in range(3)]
+MODULUS_GRID_SHA256 = "e862fa7e7fc08f31a1a0194c2bda97e5ec609a451fea82157ce6d416b556e83d"
+
+
+def test_modulus_grid_pinned():
+    moduli = [make_field(q, m, seed=s, table_cap=0).modulus for q, m, s in MODULUS_GRID]
+    assert hashlib.sha256(repr(moduli).encode()).hexdigest() == MODULUS_GRID_SHA256
+
+
 def test_factor_cache_lines_pinned(tmp_path):
     # the cache holds 3^7 - 1 alone; an n=2 line would mean that the prime
     # field make_field(3, 1), built for the modulus search, got the
@@ -258,6 +273,41 @@ class TestProductOracle:
                 assert is_irreducible(base, Poly(tuple(map(FieldElement, f)))) == expected, f
                 seen.add(expected)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("q,top", [(2, 8), (3, 5), (5, 4)])
+    def test_rabin_matches_sympy_on_every_monic(self, q, top):
+        base = make_field(q, 1)
+        for deg in range(1, top + 1):
+            for low in itertools.product(range(q), repeat=deg):
+                f = low + (1,)
+                expected = _sympy_poly(f, q).is_irreducible
+                assert is_irreducible(base, Poly(tuple(map(FieldElement, f)))) == expected, f
+
+    # squarefree, with every factor's degree dividing d, so x^(q^d) = x and
+    # only the unit power at a Rabin degree rejects
+    @pytest.mark.parametrize("q,f", [
+        (2, (1, 1, 1, 1, 1, 1, 1)),     # (x^3 + x + 1)(x^3 + x^2 + 1)
+        (3, (0, 1, 1)),                 # x(x + 1)
+        (3, (2, 1, 0, 1, 1)),           # (x^2 + 1)(x^2 + x - 1)
+    ])
+    def test_rabin_rejects_by_unit_power_alone(self, q, f):
+        kernel = _Kernel(f, q)
+        x = kernel.pack((0, 1))
+        assert kernel.powmod(x, q ** (len(f) - 1)) == x
+        assert not _sympy_poly(f, q).is_irreducible
+        assert not is_irreducible(make_field(q, 1), Poly(tuple(map(FieldElement, f))))
+
+    def test_prime_field_rabin_is_kernel_only(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("generic polynomial arithmetic ran")
+        for name in ("poly_mul", "poly_mod", "poly_gcd", "_poly_powmod"):
+            monkeypatch.setattr(ffield, name, fail)
+        assert make_field(2, 23).modulus == PINNED_FIELDS[(2, 23)][0]
+        assert make_field(3, 13).modulus == PINNED_FIELDS[(3, 13)][0]
+        base = make_field(5, 1)
+        f = (1, 0, 3, 0, 0, 2, 1)
+        assert is_irreducible(base, Poly(tuple(map(FieldElement, f)))) \
+            == _sympy_poly(f, 5).is_irreducible
 
     # GF(2^7), GF(3^5), a Rabin kernel on a reducible sextic over GF(5),
     # GF(2^22), and a Rabin kernel on (x^3 + x + 1)^2 (x^2 + x + 1)(x + 1)

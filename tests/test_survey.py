@@ -475,6 +475,17 @@ class TestFirstWitnesses:
         last = max(map(ctx.to_index, found.values()))
         assert ctx.to_index(next(candidates)) == last + 1
 
+    def test_no_pairs_reads_no_candidate(self):
+        ctx = make_field(2, 13)
+        f = RationalFunction(ctx.one, Poly((ctx.one,)),
+                             Poly((ctx.zero, ctx.one)))
+
+        def candidates():
+            raise AssertionError("a candidate was read")
+            yield
+
+        assert first_witnesses(ctx, f, [], 1, candidates()) == {}
+
 
 class TestMembershipSample:
     def test_small_field_definitive(self):
