@@ -26,8 +26,8 @@ for p, t in [(89, 7), (8, 9), (2, 7)]:
 
 # --- a full tier against the published lists ------------------------------
 t = 9
-spec = survey_range(t)
-print(f"\nSurvey t={t}: all prime powers below {spec.p_max}")
+p_max = survey_range(t)
+print(f"\nSurvey t={t}: all prime powers below {p_max}")
 diff = reproduce_appendix(t)
 print(f"  candidates: {len(diff.records)}")
 print(f"  failing the sufficient condition: {len(diff.computed_failing)}")

@@ -17,7 +17,6 @@ from .ntheory import (
     Factorization,
     integer_nth_root,
     is_prime,
-    omega_and_W,
     primes_window,
     split_prime_power,
 )
@@ -107,7 +106,7 @@ def check_thm31(p: int, t: int, n: int, facts: Factorization) -> BoundReport:
     if not facts.complete:
         return BoundReport(p, t, n, None, None, Verdict.UNKNOWN,
                            reason=f"partial factorization, cofactor {facts.cofactor}")
-    _, W = omega_and_W(facts)
+    W = 1 << len(facts.factors)
     rhs = Fraction((2 * n + 1) * W * W)
     verdict = Verdict.PASS if _exceeds(p, t, rhs) else Verdict.FAIL
     return BoundReport(p, t, n, W, rhs, verdict)

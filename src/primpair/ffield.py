@@ -183,14 +183,10 @@ def poly_eval(ctx: FieldCtx, poly: Poly, x: FieldElement) -> FieldElement:
 
 
 def poly_scale(ctx: FieldCtx, a: Poly, c: FieldElement) -> Poly:
-    if c.is_zero():
-        return Poly(())
     return make_poly(ctx, [ctx.mul(x, c) for x in a.coeffs])
 
 
 def poly_mul(ctx: FieldCtx, a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly(())
     out = [ctx.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
     for i, x in enumerate(a.coeffs):
         if x.is_zero():
@@ -463,11 +459,10 @@ class FieldCtx:
     def element_order(self, eps: FieldElement) -> int:
         if not eps:
             raise ValueError("order of zero is undefined")
-        if not self.order_facts.complete:
-            raise FactorizationIncomplete(self.order_facts.n)
         n = self.Q - 1
-        if self._log is not None:
+        if self._log is not None:   # tables need a generator: Q - 1 is factored
             return n // math.gcd(n, self._log[eps])
+        self.order_facts.require_complete()
         order = n
         for ell, e in self.order_facts.factors:
             for _ in range(e):

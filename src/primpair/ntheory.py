@@ -28,7 +28,6 @@ __all__ = [
     "factorize",
     "factor_prime_power_order",
     "cyclotomic_split",
-    "omega_and_W",
     "mobius",
     "euler_phi",
     "squarefree_divisors",
@@ -103,8 +102,6 @@ _MR_ROUNDS = 64
 
 
 def _miller_rabin(n: int, base: int) -> bool:
-    if base % n == 0:
-        return True
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -229,7 +226,7 @@ class FactorCache:
         if key in self._raw:
             with self._lock:
                 for line in self._raw.pop(key, ()):
-                    fac = _parse_cache_line(_decode_cache_line(line))
+                    fac = _parse_cache_line(line)
                     if fac is not None and fac.n == n:
                         self._mem[n] = fac
                         break
@@ -249,19 +246,12 @@ def _format_cache_line(fac: Factorization) -> str:
     return f"n={fac.n} factors={fs} cofactor=1 status=C"
 
 
-def _decode_cache_line(line: bytes) -> str:
-    """A cache line as text; one that is no UTF-8 reads as a blank line."""
-    try:
-        return line.decode()
-    except UnicodeDecodeError:
-        return ""
-
-
-def _parse_cache_line(line: str) -> Factorization | None:
+def _parse_cache_line(line: bytes) -> Factorization | None:
     """The complete factorization of a line in the one form that
-    _format_cache_line writes; None for any other line."""
+    _format_cache_line writes; None for any other line, one that is no
+    UTF-8 included."""
     try:
-        kv = dict(tok.split("=", 1) for tok in line.split())
+        kv = dict(tok.split("=", 1) for tok in line.decode().split())
         if (kv["cofactor"], kv["status"]) != ("1", "C"):
             return None
         factors = []
@@ -276,8 +266,6 @@ def _parse_cache_line(line: str) -> Factorization | None:
 
 def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int]:
     """One Brent-cycle Pollard rho attempt.  Returns (factor or None, iters used)."""
-    if n % 2 == 0:
-        return 2, 0
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
@@ -440,13 +428,6 @@ def factor_prime_power_order(
 
 # ---------------------------------------------------------------------------
 # multiplicative functions
-
-def omega_and_W(fac: Factorization) -> tuple[int, int]:
-    """(number of distinct primes, number of squarefree divisors)."""
-    fac.require_complete()
-    om = len(fac.factors)
-    return om, 1 << om
-
 
 def mobius(s: int) -> int:
     if s < 1:

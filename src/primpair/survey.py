@@ -25,7 +25,6 @@ from .bounds import (
     table1_row,
     window_threshold,
 )
-from .errors import FactorizationIncomplete
 from .ffield import FieldCtx, FieldElement, make_field
 from .ntheory import (
     FactorCache,
@@ -40,7 +39,6 @@ from .ratfunc import RationalFunction, eval_rational, sample_rational
 __all__ = [
     "SurveyStatus",
     "SurveyRecord",
-    "RangeSpec",
     "survey_range",
     "enumerate_prime_powers",
     "classify",
@@ -48,7 +46,6 @@ __all__ = [
     "reproduce_appendix",
     "load_published_failing",
     "load_published_sieve",
-    "WitnessResult",
     "first_witnesses",
     "witness_search",
     "MembershipReport",
@@ -86,29 +83,21 @@ class SurveyRecord:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class RangeSpec:
-    t: int
-    p_max: int    # exclusive
-
-
 # Worst-case window rows anchoring the p-range derivation: (minimum t the
 # row settles, row a, row b).  Each step of the published iteration tightens
 # the admissible omega range, so later anchors use narrower windows.
 _RANGE_ANCHORS = [(7, 6, 22), (8, 5, 19), (9, 5, 17), (10, 5, 15)]
 
 
-def survey_range(t: int, n: int = 2) -> RangeSpec:
-    """Candidate range for one t: p^t above the window threshold is settled,
-    so only p below the derived t-th root needs individual classification."""
-    _require_survey_t(t)
-    for t_anchor, a, b in reversed(_RANGE_ANCHORS):
-        if t >= t_anchor:
-            row = table1_row(a, b, n)
-            threshold = window_threshold(row.rhs_ub, t_anchor)
-            p_max = integer_nth_root(threshold, t) + 1
-            return RangeSpec(t, p_max)
-    raise AssertionError("unreachable")
+def survey_range(t: int, n: int = 2) -> int:
+    """The exclusive bound p_max of the candidate range for one t: p^t above
+    the window threshold is settled, so only p < p_max needs individual
+    classification."""
+    _require_survey_t(t)    # t >= 7, the first anchor
+    t_anchor, a, b = next(anchor for anchor in reversed(_RANGE_ANCHORS)
+                          if t >= anchor[0])
+    threshold = window_threshold(table1_row(a, b, n).rhs_ub, t_anchor)
+    return integer_nth_root(threshold, t) + 1
 
 
 def enumerate_prime_powers(p_max: int) -> list[int]:
@@ -216,9 +205,8 @@ class AppendixDiff:
 def reproduce_appendix(t: int, n: int = 2,
                        effort: FactorEffort = FactorEffort(),
                        cache: FactorCache | None = None) -> AppendixDiff:
-    spec = survey_range(t, n)
     records = [classify(p, t, n, effort=effort, cache=cache)
-               for p in enumerate_prime_powers(spec.p_max)]
+               for p in enumerate_prime_powers(survey_range(t, n))]
     failing = tuple(r.p for r in records
                     if r.status in (SurveyStatus.PROVEN_BY_SIEVE,
                                     SurveyStatus.POSSIBLE_EXCEPTION))
@@ -238,12 +226,6 @@ def reproduce_appendix(t: int, n: int = 2,
 
 # ---------------------------------------------------------------------------
 # witness search
-
-@dataclass(frozen=True)
-class WitnessResult:
-    witness: FieldElement | None
-    definitive: bool      # exhaustive search proves nonexistence when empty
-
 
 def _digits(e: int, q: int) -> tuple[tuple[int, int], ...]:
     """(j, e_j) for each nonzero digit e_j of e in base q."""
@@ -338,20 +320,22 @@ def first_witnesses(ctx: FieldCtx, f: RationalFunction, pairs, r: int,
 def witness_search(ctx: FieldCtx, f: RationalFunction, a: FieldElement,
                    b: FieldElement, r: int, *,
                    exhaustive: bool = True,
-                   budget: int = 100_000, seed: int = 0) -> WitnessResult:
-    """Find eps with (eps, f(eps)) both primitive and both traces prescribed."""
+                   budget: int = 100_000,
+                   seed: int = 0) -> FieldElement | None:
+    """The first eps found with eps and f(eps) both primitive and both
+    traces prescribed, or None.  A None from an exhaustive search proves
+    that no witness exists; from a random one, only that ``budget`` draws
+    found none."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if not ctx.order_facts.complete:
-        raise FactorizationIncomplete(ctx.order_facts.n)
+    ctx.order_facts.require_complete()
     if exhaustive:
         candidates = ctx.units()
     else:
         rng = random.Random(seed)
         candidates = (ctx.from_index(rng.randrange(1, ctx.Q))
                       for _ in range(budget))
-    witness = first_witnesses(ctx, f, [(a, b)], r, candidates).get((a, b))
-    return WitnessResult(witness, definitive=exhaustive)
+    return first_witnesses(ctx, f, [(a, b)], r, candidates).get((a, b))
 
 
 def _settle_pairs(ctx: FieldCtx, f: RationalFunction, pairs, r: int,
@@ -364,10 +348,10 @@ def _settle_pairs(ctx: FieldCtx, f: RationalFunction, pairs, r: int,
         return first_witnesses(ctx, f, pairs, r, ctx.units())
     found = {}
     for (a, b), seed in zip(pairs, seeds):
-        res = witness_search(ctx, f, a, b, r, exhaustive=False,
-                             budget=budget, seed=seed)
-        if res.witness is not None:
-            found[a, b] = res.witness
+        witness = witness_search(ctx, f, a, b, r, exhaustive=False,
+                                 budget=budget, seed=seed)
+        if witness is not None:
+            found[a, b] = witness
     return found
 
 

@@ -356,7 +356,7 @@ def _search_per_k(lhs, n, primes):
 
 def _thm31_failures(ts):
     for t in ts:
-        for p in enumerate_prime_powers(survey_range(t).p_max):
+        for p in enumerate_prime_powers(survey_range(t)):
             facts = factor_prime_power_order(p, t)
             if check_thm31(p, t, 2, facts).verdict is not Verdict.PASS:
                 yield p, t, facts
@@ -462,3 +462,14 @@ class TestLemma35Constants:
         # twelfth root exceeds 5.42x10^465
         assert not rec.pow2_1547_below_493e463
         assert 493 * 10 ** 463 < 2 ** 1547 < 494 * 10 ** 463
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: table1_row(3, 2), "need 1 <= a <= b"),
+        (lambda: window_threshold(5, 4), "need t_min >= 5"),
+        (lambda: bounds._decimal_digits(0), "need n > 0"),
+    ], ids=["table1_row", "window_threshold", "_decimal_digits"])
+    def test_bad_input_is_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()

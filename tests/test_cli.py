@@ -508,6 +508,9 @@ CLI_DIGESTS = {
         (1, "6180122438035daf802b74de2e909517fb6e6a99ac0f13c7c61c0decd5c254e7"),
     ("survey", "--t", "9", "--paper-diff"):
         (0, "a0c1c7fa0e04c71fe983bcc73d40f3eebdb010c3cc0e282ce388d8896c423cc7"),
+    # the published t = 8 list omits exceptions 193 and 419: exit 1
+    ("survey", "--t", "8", "--paper-diff"):
+        (1, "1b48cbc1a6d0b564e8c90b4bea994e5372ebe3240a64f7ecfd5a5f190f5b2e83"),
     ("witness", "--q", "2", "--t", "7", "--exhaustive"):
         (0, "61fb19b1a86302f8dc464b4fbe5e4c040d467e46ff2388900d16e7a562df0652"),
     ("witness", "--q", "2", "--r", "2", "--t", "5", "--exhaustive"):
@@ -547,6 +550,9 @@ CLI_DIGESTS = {
         (3, "2cf9e323be1113d446ad3ca57e459dc38c4dbf75e2279b5ddbaaa8a98364b21f"),
     ("--budget", "0", "survey", "--t", "13"):
         (3, "668155e948727d9a335a3542a572c6a95a0d8dc2abe67a6e1ab89b1bf8c8b431"),
+    # a field whose order is not fully factored: {"status": "Unresolved"}
+    ("--budget", "1", "witness", "--q", "2", "--t", "101"):
+        (3, "4e7d7cca4be888ee6a3e8502847fad6819f0376c55a41f1e439bff6ac424f7d3"),
 }
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from sympy.polys.galoistools import gf_pow_mod
 
 from primpair import ffield
+from primpair.errors import FactorizationIncomplete
 from primpair.ffield import (
     FieldElement,
     Poly,
@@ -574,3 +575,53 @@ class TestSubfield:
     def test_trivial_subfield(self, gf128):
         sub = gf128.subfield_elements(7)
         assert len(sub) == 128
+
+
+N101 = 2 ** 101 - 1
+
+
+@pytest.fixture(scope="module")
+def gf2_101_partial():
+    # one rho iteration leaves 2^101 - 1 unsplit, so there is no generator
+    return make_field(2, 101, effort=FactorEffort(rho_iterations=1))
+
+
+class TestInputChecks:
+    def test_kernel_needs_a_monic_modulus(self):
+        with pytest.raises(ValueError, match="^the modulus must be monic$"):
+            _Kernel((1, 0, 2), 3)
+
+    def test_poly_mod_by_zero(self, gf81):
+        with pytest.raises(ZeroDivisionError, match="^poly mod zero$"):
+            ffield.poly_mod(gf81, Poly((gf81.one,)), Poly(()))
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda ctx: ctx.pow(ctx.zero, -1), "negative power of zero"),
+        (lambda ctx: ctx.element_order(ctx.zero), "order of zero is undefined"),
+        (lambda ctx: ctx.is_ufree(ctx.zero, 2), "u-free is defined on units only"),
+        (lambda ctx: ctx.discrete_log(ctx.zero), "discrete log of zero"),
+    ], ids=["pow", "element_order", "is_ufree", "discrete_log"])
+    def test_zero_is_rejected(self, gf81, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(gf81)
+
+    def test_make_field_needs_a_positive_degree(self):
+        with pytest.raises(ValueError, match="^m must be >= 1$"):
+            make_field(2, 0)
+
+    def test_element_order_names_the_cofactor(self, gf2_101_partial):
+        assert gf2_101_partial.order_facts.cofactor == N101
+        with pytest.raises(FactorizationIncomplete,
+                           match=f"^factorization of {N101} has composite "
+                                 f"cofactor {N101}$"):
+            gf2_101_partial.element_order(gf2_101_partial.from_index(2))
+
+    def test_subfield_elements_needs_a_generator(self, gf2_101_partial):
+        with pytest.raises(FactorizationIncomplete,
+                           match="^subfield enumeration needs a generator$"):
+            gf2_101_partial.subfield_elements(1)
+
+    def test_discrete_log_needs_a_generator(self, gf2_101_partial):
+        with pytest.raises(FactorizationIncomplete,
+                           match="^the log table needs a generator$"):
+            gf2_101_partial.discrete_log(gf2_101_partial.from_index(2))

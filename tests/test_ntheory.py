@@ -27,7 +27,6 @@ from primpair.ntheory import (
     integer_nth_root,
     is_prime,
     mobius,
-    omega_and_W,
     primes_upto,
     primes_window,
     squarefree_divisors,
@@ -96,7 +95,7 @@ class TestGradedMillerRabin:
         # every factor below the deterministic limit in the benchmark's
         # warm cache, which this test only reads
         primes = set()
-        with open(WARM_CACHE) as fh:
+        with open(WARM_CACHE, "rb") as fh:
             for line in fh:
                 fac = ntheory._parse_cache_line(line)
                 if fac is not None:
@@ -282,10 +281,6 @@ class TestFactorPrimePowerOrder:
 
 
 class TestArithmeticFunctions:
-    def test_omega_and_W(self):
-        om, W = omega_and_W(factorize(2 ** 22 - 1))   # 3 * 23 * 89 * 683
-        assert (om, W) == (4, 16)
-
     def test_mobius_vs_sympy(self):
         for n in range(1, 300):
             assert mobius(n) == sympy.mobius(n)
@@ -308,8 +303,7 @@ class TestArithmeticFunctions:
     @settings(max_examples=50, deadline=None)
     def test_squarefree_divisor_count(self, n):
         divs = list(squarefree_divisors(factorize(n)))
-        _, W = omega_and_W(factorize(n))
-        assert len(divs) == W == len(set(divs))
+        assert len(divs) == 1 << len(factorize(n).factors) == len(set(divs))
 
 
 class TestIntegerNthRoot:
@@ -470,8 +464,8 @@ class TestLazyFactorCache:
         cache = FactorCache(str(path))
         assert cache.get(n) is None
         fac = factor_prime_power_order(89, 7, cache=cache)
-        assert omega_and_W(fac) == (3, 8)
-        assert check_thm31(89, 7, 2, fac).verdict is Verdict.PASS
+        rep = check_thm31(89, 7, 2, fac)
+        assert (len(fac.factors), rep.W, rep.verdict) == (3, 8, Verdict.PASS)
 
     def test_put_reads_back_from_a_fresh_cache(self, tmp_path):
         path = tmp_path / "cache.txt"
@@ -668,3 +662,17 @@ class TestTrialBlocks:
         monkeypatch.setattr(ntheory, "_trial_blocks", recording)
         assert dict(factorize(n).factors) == sympy.factorint(n)
         assert walked == blocks
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: factorize(0), "n must be >= 1"),
+        (lambda: primes_window(3, 2), "need 1 <= i <= j"),
+        (lambda: cyclotomic_split(1, 3), "need p >= 2, t >= 1"),
+        (lambda: mobius(0), "mobius needs a positive integer"),
+        (lambda: integer_nth_root(-1, 2), "need n >= 0, k >= 1"),
+    ], ids=["factorize", "primes_window", "cyclotomic_split", "mobius",
+            "integer_nth_root"])
+    def test_bad_input_is_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()

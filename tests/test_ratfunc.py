@@ -277,3 +277,8 @@ class TestEmptyClass:
         # GF(2) has two monic irreducible cubics, so (3, 3) samples
         f = sample_rational(make_field(2, 1), 3, 3, _BoundedRandom(0, draws=10_000))
         assert (f.n1, f.n2) == (3, 3) and f.num != f.den
+
+
+def test_num_monic_irreducible_needs_a_positive_degree():
+    with pytest.raises(ValueError, match="^degree must be >= 1$"):
+        num_monic_irreducible(4, 0)

@@ -14,6 +14,7 @@ import pytest
 
 from primpair import cli, ntheory, survey
 from primpair.bounds import Verdict
+from primpair.errors import FactorizationIncomplete
 from primpair.ffield import make_field
 from primpair.ntheory import FactorCache, FactorEffort, factorize, split_prime_power
 from primpair.ratfunc import (
@@ -51,14 +52,14 @@ PUBLISHED_RANGES = {
 class TestRanges:
     @pytest.mark.parametrize("t,p_max", sorted(PUBLISHED_RANGES.items()))
     def test_published_ranges(self, t, p_max):
-        assert survey_range(t).p_max == p_max
+        assert survey_range(t) == p_max
 
     def test_tail_ranges(self):
         for t in range(32, 40):
-            assert survey_range(t).p_max == 4
+            assert survey_range(t) == 4
         for t in range(40, 63):
-            assert survey_range(t).p_max == 3
-        assert survey_range(63).p_max == 2    # no candidates beyond t = 62
+            assert survey_range(t) == 3
+        assert survey_range(63) == 2    # no candidates beyond t = 62
 
     def test_out_of_scope(self):
         with pytest.raises(ValueError, match="^t = 6 below survey minimum 7$"):
@@ -270,9 +271,7 @@ class TestWitnessSearch:
         ctx = make_field(2, 7)
         f = RationalFunction(ctx.one, Poly((ctx.one,)),
                              Poly((ctx.zero, ctx.one)))
-        res = witness_search(ctx, f, ctx.one, ctx.one, 1)
-        assert res.definitive
-        eps = res.witness
+        eps = witness_search(ctx, f, ctx.one, ctx.one, 1)
         assert ctx.is_primitive(eps)
         inv = ctx.inv(eps)
         assert ctx.is_primitive(inv)
@@ -326,10 +325,20 @@ class TestWitnessSearch:
         ctx = make_field(2, 7)
         f = RationalFunction(ctx.one, Poly((ctx.one,)),
                              Poly((ctx.zero, ctx.one)))
-        res = witness_search(ctx, f, ctx.one, ctx.one, 1, exhaustive=False,
-                             budget=2000, seed=9)
-        assert not res.definitive
-        assert res.witness is not None
+        assert witness_search(ctx, f, ctx.one, ctx.one, 1, exhaustive=False,
+                              budget=2000, seed=9) is not None
+
+    @pytest.mark.parametrize("exhaustive", [True, False])
+    def test_partial_order_names_the_cofactor(self, exhaustive):
+        # one rho iteration leaves 2^101 - 1 unsplit: primitivity is undecidable
+        ctx = make_field(2, 101, effort=FactorEffort(rho_iterations=1))
+        f = RationalFunction(ctx.one, Poly((ctx.one,)),
+                             Poly((ctx.zero, ctx.one)))
+        n = 2 ** 101 - 1
+        with pytest.raises(FactorizationIncomplete,
+                           match=f"^factorization of {n} has composite "
+                                 f"cofactor {n}$"):
+            witness_search(ctx, f, ctx.one, ctx.one, 1, exhaustive=exhaustive)
 
     def test_exhaustive_none_is_definitive(self):
         # GF(4): single unit orbit; pick traces that cannot occur for x
@@ -338,9 +347,7 @@ class TestWitnessSearch:
                              Poly((ctx.one,)))
         found = {}
         for a in ctx.subfield_elements(1):
-            res = witness_search(ctx, f, a, a, 1)
-            found[ctx.to_index(a)] = res.witness is not None
-            assert res.definitive
+            found[ctx.to_index(a)] = witness_search(ctx, f, a, a, 1) is not None
         # identity map: witness iff a primitive element with trace a exists
         have = {0: False, 1: False}
         for eps in ctx.units():
@@ -358,9 +365,8 @@ class TestConstantSideClasses:
     def test_x_has_no_witness_at_0_1(self, m):
         ctx = make_field(2, m)
         f = RationalFunction(ctx.one, Poly((ctx.zero, ctx.one)), Poly((ctx.one,)))
-        res = witness_search(ctx, f, ctx.zero, ctx.one, 1)
-        assert res.witness is None and res.definitive
-        assert witness_search(ctx, f, ctx.one, ctx.one, 1).witness is not None
+        assert witness_search(ctx, f, ctx.zero, ctx.one, 1) is None
+        assert witness_search(ctx, f, ctx.one, ctx.one, 1) is not None
 
     @pytest.mark.parametrize("m", [5, 6, 7, 8, 9])
     def test_irreducible_quadratic_never_has_trace_zero(self, m):

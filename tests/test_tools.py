@@ -1,6 +1,11 @@
-"""tools/derive_rho_hints.py: the rho hint file from a factor cache."""
+"""tools/derive_rho_hints.py, the rho hint file from a factor cache, and
+tools/untraced_lines.py, the lines of a package that a pytest run never
+reaches."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -9,15 +14,15 @@ from primpair.survey import enumerate_prime_powers, survey_range
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_tool():
-    path = ROOT / "tools" / "derive_rho_hints.py"
-    spec = importlib.util.spec_from_file_location("derive_rho_hints", path)
+def _load_tool(name):
+    path = ROOT / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tool = _load_tool()
+tool = _load_tool("derive_rho_hints")
 
 SYNTHETIC = """\
 # comment
@@ -40,7 +45,7 @@ def test_derive_on_a_synthetic_cache(tmp_path):
     cache.write_text(SYNTHETIC)
     # the largest prime of a complete line is no hint, nor is any prime of
     # a partial or corrupt line, such as one with a zero exponent
-    assert tool.derive(SYNTHETIC.splitlines()) == [100000007, 100000037]
+    assert tool.derive(SYNTHETIC.encode().splitlines()) == [100000007, 100000037]
     out = tmp_path / "hints.txt"
     assert tool.main([str(cache), str(out)]) == 0
     assert out.read_text() == "100000007\n100000037\n"
@@ -79,9 +84,46 @@ def test_whole_order_lines_alone_give_the_hints():
     # the lines of p^t - 1 for the surveyed (p, t), t = 7..62, without the
     # lines of cyclotomic parts that the cache once also kept
     orders = {p ** t - 1 for t in range(7, 63)
-              for p in enumerate_prime_powers(survey_range(t).p_max)}
-    with open(WARM_CACHE) as fh:
-        lines = [line for line in fh if line.startswith("n=")
+              for p in enumerate_prime_powers(survey_range(t))}
+    with open(WARM_CACHE, "rb") as fh:
+        lines = [line for line in fh if line.startswith(b"n=")
                  and int(line.split(None, 1)[0][2:]) in orders]
     hints = tool.derive(lines)
     assert "".join(f"{h}\n" for h in hints) == SHIPPED.read_text()
+
+
+def test_untraced_lines_on_a_tiny_package(tmp_path):
+    # one branch that the test reaches and one that it never does; the
+    # tool runs pytest on it in a child process of its own
+    pkg = tmp_path / "tiny"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "pick.py").write_text(
+        "def pick(x):\n"
+        "    if x:\n"
+        "        return 'yes'\n"
+        "    return 'no'\n")
+    (tmp_path / "test_pick.py").write_text(
+        "from tiny.pick import pick\n\n\n"
+        "def test_yes():\n"
+        "    assert pick(1) == 'yes'\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "untraced_lines.py"),
+         "--package", str(pkg), "-q", "-p", "no:cacheprovider", "test_pick.py"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    listed = [line for line in proc.stdout.splitlines()
+              if line.startswith("tiny")]
+    assert listed == [os.path.join("tiny", "pick.py") + ":4: return 'no'"]
+    assert proc.stdout.splitlines()[-1].startswith(
+        "1 of 4 executable lines never ran in this process; lines reached "
+        "only in child processes")
+
+
+def test_executable_lines_include_nested_code(tmp_path):
+    untraced = _load_tool("untraced_lines")
+    path = tmp_path / "mod.py"
+    # line 3 is only in g, a code object nested in f's
+    path.write_text("def f():\n    def g():\n        return 1\n    return g\n")
+    assert untraced.executable_lines(path) == {1, 2, 3, 4}

@@ -23,14 +23,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from primpair.ntheory import _decode_cache_line, _parse_cache_line  # noqa: E402
+from primpair.ntheory import _parse_cache_line  # noqa: E402
 
 HINT_FLOOR = 10 ** 8
 DEFAULT_OUT = ROOT / "src" / "primpair" / "data" / "rho_hints.txt"
 
 
 def derive(lines) -> list[int]:
-    """The sorted, distinct hints of the cache lines ``lines``."""
+    """The sorted, distinct hints of the cache lines ``lines``, as bytes."""
     hints = set()
     for line in lines:
         fac = _parse_cache_line(line)
@@ -43,10 +43,10 @@ def main(argv) -> int:
     if len(argv) not in (1, 2):
         print("usage: derive_rho_hints.py CACHE [OUT]", file=sys.stderr)
         return 2
-    # read as FactorCache reads: bytes, decoded line by line, so a line that
+    # read as FactorCache reads: bytes, parsed line by line, so a line that
     # is no UTF-8 is skipped like any other corrupt line
     with open(argv[0], "rb") as fh:
-        hints = derive(map(_decode_cache_line, fh.read().splitlines()))
+        hints = derive(fh.read().splitlines())
     out = Path(argv[1]) if len(argv) == 2 else DEFAULT_OUT
     out.write_text("".join(f"{h}\n" for h in hints))
     print(f"{len(hints)} hints -> {out}")
